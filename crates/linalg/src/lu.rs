@@ -16,10 +16,26 @@
 //!   transposed copy of the factors so left (row-vector) solves run on
 //!   unit-stride data.
 //!
-//! Multi-RHS solves are *row-blocked*: forward/backward substitution is
-//! applied to entire rows of the right-hand side at once (an `axpy` per
-//! eliminated entry), which turns the inner loops into long unit-stride
-//! streams instead of `n` separate column extractions.
+//! Multi-right-hand-side solves run on two substitution kernels, shared
+//! by [`Lu`] and [`LuWorkspace`], serial and threaded:
+//!
+//! * **right solves** (`A · X = B`) pack `B` 16 columns at a time into a
+//!   grow-only thread-local panel buffer; each row of a panel
+//!   accumulates in a fixed-size array, i.e. in vector registers, across
+//!   its whole elimination loop. The ragged last panel is zero-padded and
+//!   its pad lanes are discarded.
+//! * **left solves** (`X · A = B`) advance 8 rows of `B` at once, one per
+//!   lane of a fixed-size accumulator, over the transposed factors, so
+//!   eight serial dot-product chains run side by side.
+//!
+//! Both give every output element exactly the operation sequence of a
+//! plain row-at-a-time loop: ascending `j`, multiply then subtract, the
+//! right solve's skip of zero factor entries (decided per `(i, j)`, so
+//! equal for every column) and the same final division or reciprocal.
+//! Results are therefore bit-identical to those loops, which the kernel
+//! tests keep as oracles, and to each other at any thread count.
+
+use std::cell::Cell;
 
 use crate::compensated::Accumulator;
 use crate::{LinalgError, Matrix, Result, Vector};
@@ -135,141 +151,267 @@ fn par_min_solve_flops() -> usize {
     crate::threading::par_min_flops() / 2
 }
 
-/// Row-blocked substitution for `A · X = B` on already-permuted rows:
-/// `out` must hold `P·B`; on return it holds `X`.
-fn substitute_rows_in_place(lu: &Matrix, out: &mut Matrix) {
-    let w = out.ncols();
-    substitute_rows_slice(lu, out.as_mut_slice(), w);
+/// Column-panel width of the right-solve kernel: one panel row is two
+/// AVX-512 (four AVX2) registers, held across a row's whole
+/// elimination loop.
+const PANEL: usize = 16;
+
+/// Right-hand-side rows the left-solve kernel advances together, one
+/// per lane of a fixed-size accumulator.
+const LANES: usize = 8;
+
+thread_local! {
+    /// Grow-only scratch of the substitution kernels: packed column
+    /// panels for right solves, lane-interleaved rows for left solves.
+    static SOLVE_SCRATCH: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
 }
 
-/// Substitution core on a raw row-major buffer of width `w`.
+/// Runs `f` on `len` elements of this thread's substitution scratch,
+/// growing it first if needed. The buffer is taken out of its slot for
+/// the duration, so a nested call would see an empty slot and allocate
+/// instead of aliasing.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    SOLVE_SCRATCH.with(|slot| {
+        let mut buf = slot.take();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        let out = f(&mut buf[..len]);
+        slot.set(buf);
+        out
+    })
+}
+
+/// Heap bytes held by this thread's substitution scratch.
+fn scratch_bytes() -> usize {
+    SOLVE_SCRATCH.with(|slot| {
+        let buf = slot.take();
+        let bytes = buf.capacity() * std::mem::size_of::<f64>();
+        slot.set(buf);
+        bytes
+    })
+}
+
+/// The right-solve kernel: substitution for `A · X = B` on
+/// already-permuted (and, for equilibrated factors, row-scaled) rows.
+/// `data` is a row-major `n × w` buffer holding `P·B` on entry and `X`
+/// on return.
 ///
-/// Each right-hand-side column is processed independently — the row
-/// loops fix the operation order per column and never mix columns —
-/// which is what makes the column-striped parallel variant bitwise
-/// identical to the serial one.
-fn substitute_rows_slice(lu: &Matrix, data: &mut [f64], w: usize) {
+/// The columns go through [`substitute_panel`] in [`PANEL`]-wide packed
+/// panels, the ragged last one zero-padded. Serially one panel of
+/// scratch is reused for each in turn; with `workers > 1` each scoped
+/// thread packs and solves a contiguous run of panels from the shared
+/// input, and the calling thread unpacks them all after the join. A
+/// column's arithmetic never depends on its neighbours, so neither the
+/// panel split nor the thread split can change a bit.
+fn substitute_rows(lu: &Matrix, data: &mut [f64], w: usize, workers: usize) {
     let n = lu.nrows();
+    if n == 0 || w == 0 {
+        return;
+    }
+    let panels = w.div_ceil(PANEL);
+    let stride = n * PANEL;
+    let workers = workers.clamp(1, panels);
+    if workers == 1 {
+        with_scratch(stride, |panel| {
+            for p in 0..panels {
+                pack_panel(data, w, p, panel);
+                substitute_panel(lu, panel.as_chunks_mut().0);
+                unpack_panel(panel, data, w, p);
+            }
+        });
+        return;
+    }
+    with_scratch(panels * stride, |packed| {
+        let bounds = crate::threading::partition_blocks(panels, workers);
+        let src: &[f64] = data;
+        std::thread::scope(|scope| {
+            let mut rest = &mut *packed;
+            for run in bounds.windows(2) {
+                let (mine, tail) = rest.split_at_mut((run[1] - run[0]) * stride);
+                rest = tail;
+                let first = run[0];
+                scope.spawn(move || {
+                    for (k, panel) in mine.chunks_exact_mut(stride).enumerate() {
+                        pack_panel(src, w, first + k, panel);
+                        substitute_panel(lu, panel.as_chunks_mut().0);
+                    }
+                });
+            }
+        });
+        for (p, panel) in packed.chunks_exact(stride).enumerate() {
+            unpack_panel(panel, data, w, p);
+        }
+    });
+}
+
+/// Copies panel `p` (columns `p·PANEL ..`) of the row-major width-`w`
+/// `data` into `panel`, zero-padding the columns past `w`.
+fn pack_panel(data: &[f64], w: usize, p: usize, panel: &mut [f64]) {
+    let (c0, c1) = (p * PANEL, ((p + 1) * PANEL).min(w));
+    for (dst, row) in panel.chunks_exact_mut(PANEL).zip(data.chunks_exact(w)) {
+        dst[..c1 - c0].copy_from_slice(&row[c0..c1]);
+        dst[c1 - c0..].fill(0.0);
+    }
+}
+
+/// Writes the live columns of a packed `panel` back to panel `p` of
+/// `data`; the pad columns are dropped.
+fn unpack_panel(panel: &[f64], data: &mut [f64], w: usize, p: usize) {
+    let (c0, c1) = (p * PANEL, ((p + 1) * PANEL).min(w));
+    for (src, row) in panel.chunks_exact(PANEL).zip(data.chunks_exact_mut(w)) {
+        row[c0..c1].copy_from_slice(&src[..c1 - c0]);
+    }
+}
+
+/// Forward then backward substitution on one packed panel, `rows[i]`
+/// being the panel's slice of right-hand-side row `i`.
+///
+/// Row `i` accumulates in a register-resident `[f64; PANEL]` over its
+/// whole `j` loop, with the per-element sequence of a plain
+/// row-at-a-time loop: ascending `j`, `x −= l·y`, skipped where the
+/// factor entry is zero, and finally `x *= 1/u_ii`.
+fn substitute_panel(lu: &Matrix, rows: &mut [[f64; PANEL]]) {
+    let n = rows.len();
     // Forward: L y = P b.
     for i in 1..n {
-        let (above, current) = data.split_at_mut(i * w);
-        let xi = &mut current[..w];
-        let lrow = lu.row(i);
-        for (j, xj) in above.chunks_exact(w).enumerate() {
-            let lij = lrow[j];
-            if lij != 0.0 {
-                for (x, &y) in xi.iter_mut().zip(xj) {
-                    *x -= lij * y;
+        let (solved, rest) = rows.split_at_mut(i);
+        let mut acc = rest[0];
+        for (&l, y) in lu.row(i)[..i].iter().zip(solved.iter()) {
+            if l != 0.0 {
+                for (a, &v) in acc.iter_mut().zip(y) {
+                    *a -= l * v;
                 }
             }
         }
+        rest[0] = acc;
     }
     // Backward: U x = y.
     for i in (0..n).rev() {
-        let (head, tail) = data.split_at_mut((i + 1) * w);
-        let xi = &mut head[i * w..];
+        let (head, solved) = rows.split_at_mut(i + 1);
         let urow = lu.row(i);
-        for (j, xj) in tail.chunks_exact(w).enumerate() {
-            let uij = urow[i + 1 + j];
-            if uij != 0.0 {
-                for (x, &y) in xi.iter_mut().zip(xj) {
-                    *x -= uij * y;
+        let mut acc = head[i];
+        for (&u, x) in urow[i + 1..].iter().zip(solved.iter()) {
+            if u != 0.0 {
+                for (a, &v) in acc.iter_mut().zip(x) {
+                    *a -= u * v;
                 }
             }
         }
         let inv = 1.0 / urow[i];
-        for x in xi.iter_mut() {
-            *x *= inv;
+        for a in &mut acc {
+            *a *= inv;
         }
+        head[i] = acc;
     }
 }
 
-/// Column-striped parallel substitution: each scoped thread copies a
-/// contiguous stripe of right-hand-side columns into a private
-/// contiguous buffer, substitutes there, and the stripes are copied
-/// back. The per-column arithmetic is untouched, so results are bitwise
-/// identical to the serial schedule at any worker count.
-fn substitute_rows_threaded(lu: &Matrix, out: &mut Matrix, workers: usize) {
-    let n = lu.nrows();
-    let w = out.ncols();
-    let workers = workers.max(1).min(w);
-    if workers <= 1 {
-        substitute_rows_in_place(lu, out);
+/// What the left-solve kernel reads of a factorization.
+#[derive(Clone, Copy)]
+struct LeftFactors<'a> {
+    /// Transposed combined factors: `Uᵀ` on and below the diagonal,
+    /// unit-diagonal `Lᵀ` above it.
+    lut: &'a Matrix,
+    perm: &'a [usize],
+    /// `(row_scale, col_scale)` of an equilibrated factorization.
+    scales: Option<(&'a [f64], &'a [f64])>,
+}
+
+/// The left-solve kernel: `X · A = B` for every row of the row-major
+/// `b` (rows of width `n`) into the matching rows of `x`.
+///
+/// Rows go through [`solve_left_batch`] [`LANES`] at a time. With
+/// `workers > 1` contiguous runs of whole batches go to scoped threads,
+/// each with its own slice of the calling thread's scratch. Lanes never
+/// interact, so neither the batching nor the thread split can change a
+/// bit.
+fn solve_left_rows(f: LeftFactors<'_>, b: &[f64], x: &mut [f64], workers: usize) {
+    let n = f.lut.nrows();
+    if n == 0 || b.is_empty() {
         return;
     }
-    let bounds = crate::threading::partition_blocks(w, workers);
-    let mut stripes: Vec<(usize, usize, Vec<f64>)> = bounds
-        .windows(2)
-        .map(|b| {
-            let (c0, c1) = (b[0], b[1]);
-            let wt = c1 - c0;
-            let mut buf = vec![0.0; n * wt];
-            for i in 0..n {
-                buf[i * wt..(i + 1) * wt].copy_from_slice(&out.row(i)[c0..c1]);
+    let batch = n * LANES;
+    let batches = b.len().div_ceil(batch);
+    let workers = workers.clamp(1, batches);
+    with_scratch(workers * batch, |scratch| {
+        if workers == 1 {
+            solve_left_run(f, b, x, scratch.as_chunks_mut().0);
+            return;
+        }
+        let bounds = crate::threading::partition_blocks(batches, workers);
+        std::thread::scope(|scope| {
+            let (mut b_rest, mut x_rest) = (b, x);
+            for (run, y) in bounds.windows(2).zip(scratch.chunks_exact_mut(batch)) {
+                let len = ((run[1] - run[0]) * batch).min(b_rest.len());
+                let (b_mine, b_tail) = b_rest.split_at(len);
+                let (x_mine, x_tail) = x_rest.split_at_mut(len);
+                (b_rest, x_rest) = (b_tail, x_tail);
+                scope.spawn(move || solve_left_run(f, b_mine, x_mine, y.as_chunks_mut().0));
             }
-            (c0, c1, buf)
-        })
-        .collect();
-    std::thread::scope(|scope| {
-        for (c0, c1, buf) in stripes.iter_mut() {
-            let wt = *c1 - *c0;
-            scope.spawn(move || substitute_rows_slice(lu, buf, wt));
-        }
+        });
     });
-    for (c0, c1, buf) in &stripes {
-        let wt = c1 - c0;
-        for i in 0..n {
-            out.row_mut(i)[*c0..*c1].copy_from_slice(&buf[i * wt..(i + 1) * wt]);
-        }
+}
+
+/// Serial driver of [`solve_left_rows`]: consecutive batches of
+/// [`LANES`] rows, the last one possibly ragged.
+fn solve_left_run(f: LeftFactors<'_>, b: &[f64], x: &mut [f64], y: &mut [[f64; LANES]]) {
+    let batch = f.lut.nrows() * LANES;
+    for (b, x) in b.chunks(batch).zip(x.chunks_mut(batch)) {
+        solve_left_batch(f, b, x, y);
     }
 }
 
-/// One left solve `x·A = b` on the transposed factors: forward on
-/// `Uᵀ`, backward on `Lᵀ` in place (in `y`, a length-`n` scratch), then
-/// scatter through `P`.
+/// Left solves `x·A = b` for up to [`LANES`] rows at once: forward on
+/// `Uᵀ`, backward on `Lᵀ` in place in `y` (one `[f64; LANES]` per
+/// unknown, lane `l` holding row `l`), then scatter through `P`.
 ///
 /// For equilibrated factors (`x·R⁻¹AₛC⁻¹ = b`) the right-hand side is
 /// prescaled by the column scales on the way in and the solution
 /// postscaled by the row scales on the way out.
 ///
-/// A free function (rather than a method) so the row-parallel
-/// [`LuWorkspace::solve_left_mat_into_threaded`] can run it from scoped
-/// threads with per-thread scratch.
-#[allow(clippy::too_many_arguments)] // factored data plus scratch: all are needed
-fn solve_left_row_with(
-    lut: &Matrix,
-    perm: &[usize],
-    row_scale: &[f64],
-    col_scale: &[f64],
-    equilibrated: bool,
-    b: &[f64],
-    x: &mut [f64],
-    y: &mut [f64],
-) {
+/// Each lane runs the per-element sequence of a plain one-row loop
+/// (ascending `j`, `acc −= u·y`, then `acc / u_ii` in the forward
+/// sweep), but the `LANES` serial dot-product chains now advance side
+/// by side in registers. Lanes past the last row start at zero and are
+/// never written out.
+fn solve_left_batch(f: LeftFactors<'_>, b: &[f64], x: &mut [f64], y: &mut [[f64; LANES]]) {
+    let lut = f.lut;
     let n = lut.nrows();
     for i in 0..n {
         let row = lut.row(i);
-        let mut acc = if equilibrated { b[i] * col_scale[i] } else { b[i] };
-        for (&u, &yj) in row[..i].iter().zip(y[..i].iter()) {
-            acc -= u * yj;
+        let mut acc = [0.0; LANES];
+        for (a, brow) in acc.iter_mut().zip(b.chunks_exact(n)) {
+            *a = match f.scales {
+                Some((_, col_scale)) => brow[i] * col_scale[i],
+                None => brow[i],
+            };
         }
-        y[i] = acc / row[i];
+        for (&u, yj) in row[..i].iter().zip(y.iter()) {
+            for (a, &v) in acc.iter_mut().zip(yj) {
+                *a -= u * v;
+            }
+        }
+        let pivot = row[i];
+        for (yi, a) in y[i].iter_mut().zip(acc) {
+            *yi = a / pivot;
+        }
     }
     for i in (0..n).rev() {
-        let row = lut.row(i);
-        let mut acc = y[i];
-        for (&l, &zj) in row[i + 1..].iter().zip(y[i + 1..].iter()) {
-            acc -= l * zj;
+        let (head, solved) = y.split_at_mut(i + 1);
+        let mut acc = head[i];
+        for (&l, z) in lut.row(i)[i + 1..].iter().zip(solved.iter()) {
+            for (a, &v) in acc.iter_mut().zip(z) {
+                *a -= l * v;
+            }
         }
-        y[i] = acc;
+        head[i] = acc;
     }
-    if equilibrated {
-        for (i, &p) in perm.iter().enumerate() {
-            x[p] = y[i] * row_scale[p];
-        }
-    } else {
-        for (i, &p) in perm.iter().enumerate() {
-            x[p] = y[i];
+    for (lane, xrow) in x.chunks_exact_mut(n).enumerate() {
+        for (yi, &p) in y.iter().zip(f.perm) {
+            xrow[p] = match f.scales {
+                Some((row_scale, _)) => yi[lane] * row_scale[p],
+                None => yi[lane],
+            };
         }
     }
 }
@@ -302,33 +444,6 @@ fn substitute_vec_in_place(lu: &Matrix, x: &mut [f64]) {
             acc -= uij * xj;
         }
         current[i] = acc / row[i];
-    }
-}
-
-/// Single left solve `x · A = b` against factored data.
-///
-/// `x·A = b ⇔ Aᵀ·xᵀ = bᵀ`. With `P·A = L·U`: solve `Uᵀ·y = b` (forward),
-/// `Lᵀ·z = y` (backward, in place on `y`), then scatter `x = Pᵀ·z`.
-/// Accesses `lu` column-wise; [`LuWorkspace`] avoids the strided reads by
-/// keeping a transposed copy of the factors.
-fn solve_left_vec_with(lu: &Matrix, perm: &[usize], b: &[f64], y: &mut [f64], x: &mut [f64]) {
-    let n = lu.nrows();
-    for i in 0..n {
-        let mut acc = b[i];
-        for (j, yj) in y[..i].iter().enumerate() {
-            acc -= lu[(j, i)] * yj;
-        }
-        y[i] = acc / lu[(i, i)];
-    }
-    for i in (0..n).rev() {
-        let mut acc = y[i];
-        for j in (i + 1)..n {
-            acc -= lu[(j, i)] * y[j];
-        }
-        y[i] = acc;
-    }
-    for (i, &p) in perm.iter().enumerate() {
-        x[p] = y[i];
     }
 }
 
@@ -403,16 +518,21 @@ fn residual_omega_left(a: &Matrix, x: &Matrix, b: &Matrix, resid: &mut Matrix) -
 /// Hager-style lower-bound estimate of `‖A⁻¹‖₁` on factored data
 /// (Hager 1984, as refined by Higham): a handful of forward/adjoint
 /// solves, `O(k·n²)` instead of the `O(n³)` of an explicit inverse.
-fn inverse_norm_one_estimate_with(lu: &Matrix, perm: &[usize]) -> f64 {
+fn inverse_norm_one_estimate_with(lu: &Matrix, lut: &Matrix, perm: &[usize]) -> f64 {
     let n = lu.nrows();
     if n == 0 {
         return 0.0;
     }
+    let left = LeftFactors {
+        lut,
+        perm,
+        scales: None,
+    };
     // Start from the averaging vector; at most 5 refinement sweeps
     // (Higham's estimator almost always converges in 2).
     let mut x = vec![1.0 / n as f64; n];
     let mut y = vec![0.0; n];
-    let mut scratch = vec![0.0; n];
+    let mut xi = vec![0.0; n];
     let mut z = vec![0.0; n];
     let mut estimate = 0.0;
     let mut visited = vec![false; n];
@@ -423,14 +543,10 @@ fn inverse_norm_one_estimate_with(lu: &Matrix, perm: &[usize]) -> f64 {
             return f64::INFINITY;
         }
         // ξ = sign(y); solve z·A = ξ as a row system.
-        for (s, &v) in scratch.iter_mut().zip(&y) {
+        for (s, &v) in xi.iter_mut().zip(&y) {
             *s = if v >= 0.0 { 1.0 } else { -1.0 };
         }
-        let xi = std::mem::take(&mut scratch);
-        let mut ybuf = std::mem::take(&mut y);
-        solve_left_vec_with(lu, perm, &xi, &mut ybuf, &mut z);
-        scratch = xi;
-        y = ybuf;
+        solve_left_rows(left, &xi, &mut z, 1);
         if !z.iter().all(|v| v.is_finite()) {
             return f64::INFINITY;
         }
@@ -544,8 +660,8 @@ impl Lu {
         Ok(Vector::from(x))
     }
 
-    /// Solves `A · X = B` for all right-hand-side columns at once by
-    /// row-blocked substitution.
+    /// Solves `A · X = B` for all right-hand-side columns at once on the
+    /// column-panel substitution kernel.
     ///
     /// # Errors
     ///
@@ -563,7 +679,7 @@ impl Lu {
         for (i, &p) in self.perm.iter().enumerate() {
             out.row_mut(i).copy_from_slice(b.row(p));
         }
-        substitute_rows_in_place(&self.lu, &mut out);
+        substitute_rows(&self.lu, out.as_mut_slice(), b.ncols(), 1);
         Ok(out)
     }
 
@@ -583,13 +699,12 @@ impl Lu {
                 right: (n, n),
             });
         }
-        let mut y = vec![0.0; n];
         let mut x = vec![0.0; n];
-        solve_left_vec_with(&self.lu, &self.perm, b.as_slice(), &mut y, &mut x);
+        self.solve_left_into(b.as_slice(), &mut x);
         Ok(Vector::from(x))
     }
 
-    /// Solves `X · A = B` row by row.
+    /// Solves `X · A = B`, eight rows at a time.
     ///
     /// # Errors
     ///
@@ -604,10 +719,7 @@ impl Lu {
             });
         }
         let mut out = Matrix::zeros(b.nrows(), n);
-        let mut y = vec![0.0; n];
-        for i in 0..b.nrows() {
-            solve_left_vec_with(&self.lu, &self.perm, b.row(i), &mut y, out.row_mut(i));
-        }
+        self.solve_left_into(b.as_slice(), out.as_mut_slice());
         Ok(out)
     }
 
@@ -633,7 +745,7 @@ impl Lu {
     /// cost. The estimate is a lower bound that is almost always within a
     /// small factor of the true norm.
     pub fn inverse_norm_one_estimate(&self) -> f64 {
-        inverse_norm_one_estimate_with(&self.lu, &self.perm)
+        inverse_norm_one_estimate_with(&self.lu, &self.lu.transpose(), &self.perm)
     }
 
     /// Cheap 1-norm condition-number estimate `κ₁(A) ≈ ‖A‖₁·‖A⁻¹‖₁`.
@@ -648,6 +760,19 @@ impl Lu {
         let kappa = self.a_norm1 * self.inverse_norm_one_estimate();
         performa_obs::histogram_record("linalg.lu.condition", kappa);
         kappa
+    }
+
+    /// Left solves on the left-solve kernel. The transposed factors it
+    /// reads are made per call rather than kept beside `lu`: `Lu`'s left
+    /// solves are one-off, and most factorizations never make one.
+    fn solve_left_into(&self, b: &[f64], x: &mut [f64]) {
+        let lut = self.lu.transpose();
+        let left = LeftFactors {
+            lut: &lut,
+            perm: &self.perm,
+            scales: None,
+        };
+        solve_left_rows(left, b, x, 1);
     }
 }
 
@@ -682,8 +807,6 @@ pub struct LuWorkspace {
     /// Transposed factors, kept in sync for unit-stride left solves.
     lut: Matrix,
     perm: Vec<usize>,
-    /// Per-row scratch for left solves.
-    scratch: Vec<f64>,
     /// Row equilibration scales `r` (`Aₛ = R·A·C`); all ones when
     /// equilibration is off.
     row_scale: Vec<f64>,
@@ -706,7 +829,6 @@ impl LuWorkspace {
             lu: Matrix::zeros(n, n),
             lut: Matrix::zeros(n, n),
             perm: vec![0; n],
-            scratch: vec![0.0; n],
             row_scale: vec![1.0; n],
             col_scale: vec![1.0; n],
             equilibrated: false,
@@ -722,14 +844,16 @@ impl LuWorkspace {
         self.lu.nrows()
     }
 
-    /// Heap bytes owned by this workspace (for observability gauges).
+    /// Heap bytes owned by this workspace, plus this thread's grow-only
+    /// substitution scratch (for observability gauges).
     pub fn bytes(&self) -> usize {
         let n = self.dim();
         let f64s = std::mem::size_of::<f64>();
         let mat = |m: &Matrix| m.nrows() * m.ncols() * f64s;
         2 * n * n * f64s
             + n * std::mem::size_of::<usize>()
-            + 4 * n * f64s
+            + 2 * n * f64s
+            + scratch_bytes()
             + self.retained.as_ref().map_or(0, mat)
             + self
                 .refine_buf
@@ -857,8 +981,8 @@ impl LuWorkspace {
         }
     }
 
-    /// Solves `A · X = B` into `out` (row-blocked; allocation-free when
-    /// serial).
+    /// Solves `A · X = B` into `out` on the column-panel substitution
+    /// kernel (allocation-free once this thread's scratch has grown).
     ///
     /// Large right-hand sides run the substitution on the process-wide
     /// kernel thread count ([`crate::threading::threads`]); parallel
@@ -912,7 +1036,7 @@ impl LuWorkspace {
                 }
             }
         }
-        substitute_rows_threaded(&self.lu, out, workers);
+        substitute_rows(&self.lu, out.as_mut_slice(), b.ncols(), workers);
         if self.equilibrated {
             for (i, &c) in self.col_scale.iter().enumerate() {
                 for v in out.row_mut(i).iter_mut() {
@@ -923,8 +1047,9 @@ impl LuWorkspace {
         Ok(())
     }
 
-    /// Solves `X · A = B` into `out` (uses the transposed factors so
-    /// every inner product is unit-stride; allocation-free when serial).
+    /// Solves `X · A = B` into `out` on the lane-batched left-solve
+    /// kernel over the transposed factors (allocation-free once this
+    /// thread's scratch has grown).
     ///
     /// Large right-hand sides distribute independent rows over the
     /// process-wide kernel thread count
@@ -934,7 +1059,7 @@ impl LuWorkspace {
     /// # Errors
     ///
     /// See [`LuWorkspace::solve_mat_into`].
-    pub fn solve_left_mat_into(&mut self, b: &Matrix, out: &mut Matrix) -> Result<()> {
+    pub fn solve_left_mat_into(&self, b: &Matrix, out: &mut Matrix) -> Result<()> {
         let n = self.dim();
         let flops = 2usize
             .saturating_mul(n)
@@ -956,7 +1081,7 @@ impl LuWorkspace {
     ///
     /// See [`LuWorkspace::solve_mat_into`].
     pub fn solve_left_mat_into_threaded(
-        &mut self,
+        &self,
         b: &Matrix,
         out: &mut Matrix,
         workers: usize,
@@ -970,56 +1095,14 @@ impl LuWorkspace {
                 right: out.shape(),
             });
         }
-        let rows = b.nrows();
-        let workers = workers.max(1).min(rows);
-        if workers <= 1 {
-            for r in 0..rows {
-                solve_left_row_with(
-                    &self.lut,
-                    &self.perm,
-                    &self.row_scale,
-                    &self.col_scale,
-                    self.equilibrated,
-                    b.row(r),
-                    out.row_mut(r),
-                    &mut self.scratch,
-                );
-            }
-            return Ok(());
-        }
-        // Each output row is produced by exactly one thread via the same
-        // single-row routine the serial path uses, so the parallel split
-        // cannot change any result bits.
-        let (lut, perm) = (&self.lut, &self.perm[..]);
-        let (row_scale, col_scale) = (&self.row_scale[..], &self.col_scale[..]);
-        let equilibrated = self.equilibrated;
-        let bounds = crate::threading::partition_blocks(rows, workers);
-        let mut regions: Vec<(usize, &mut [f64])> = Vec::with_capacity(bounds.len() - 1);
-        let mut rest = out.as_mut_slice();
-        for w in bounds.windows(2) {
-            let (head, tail) = rest.split_at_mut((w[1] - w[0]) * n);
-            regions.push((w[0], head));
-            rest = tail;
-        }
-        std::thread::scope(|scope| {
-            for (r0, rows_slice) in regions {
-                scope.spawn(move || {
-                    let mut scratch = vec![0.0; n];
-                    for (ri, xrow) in rows_slice.chunks_exact_mut(n).enumerate() {
-                        solve_left_row_with(
-                            lut,
-                            perm,
-                            row_scale,
-                            col_scale,
-                            equilibrated,
-                            b.row(r0 + ri),
-                            xrow,
-                            &mut scratch,
-                        );
-                    }
-                });
-            }
-        });
+        let left = LeftFactors {
+            lut: &self.lut,
+            perm: &self.perm,
+            scales: self
+                .equilibrated
+                .then_some((&self.row_scale[..], &self.col_scale[..])),
+        };
+        solve_left_rows(left, b.as_slice(), out.as_mut_slice(), workers);
         Ok(())
     }
 
@@ -1225,7 +1308,7 @@ impl LuWorkspace {
         if self.dim() == 0 || !self.factored {
             return 1.0;
         }
-        let kappa = self.a_norm1 * inverse_norm_one_estimate_with(&self.lu, &self.perm);
+        let kappa = self.a_norm1 * inverse_norm_one_estimate_with(&self.lu, &self.lut, &self.perm);
         performa_obs::histogram_record("linalg.lu.condition", kappa);
         kappa
     }
@@ -1655,3 +1738,6 @@ mod tests {
         assert!(x.max_abs_diff(&Matrix::identity(2)) < 1e-15);
     }
 }
+
+#[cfg(test)]
+mod kernel_tests;

@@ -23,6 +23,14 @@ const ROWSUM_TOL: f64 = 1e-8;
 /// Convergence is only ever declared on a checked iteration, and the
 /// finiteness sweep runs before the convergence test there — a NaN can
 /// never masquerade as a converged iterate (`max_abs_diff` ignores NaN).
+///
+/// The stride is load-bearing for the published numbers, not a tuning
+/// knob. Convergence is only seen on checked iterations, so the stride
+/// sets how many extra logarithmic-reduction steps run after the
+/// tolerance is first met. Checking every iteration stops logred up to
+/// three iterations earlier (N5_T4 13 → 11–13, N2_T16 33 → 30–32, N5_T5
+/// 17 → 14) and moves committed Figure 1/3/4/5/6 cells: Figure 1's
+/// `T = 10` mean at `ρ = 0.28` goes from 1.4589861223 to 1.4589861209.
 const CHECK_STRIDE: usize = 4;
 
 /// `true` on iterations where the amortized checks must run.
@@ -1112,20 +1120,22 @@ impl Qbd {
     /// [`QbdError::Linalg`] if the inner matrix is singular (never for a
     /// valid stable QBD).
     pub fn r_from_g(&self, g: &Matrix) -> Result<Matrix> {
-        Ok(self.r_from_g_with_cond(g, Hardening::default())?.0)
+        self.r_from_g_with_cond(g, Hardening::default(), None)
     }
 
-    /// `R` plus the 1-norm condition estimate of the factored system
-    /// `−(A1 + A0·G)` — the supervisor surfaces the estimate as an
-    /// `IllConditioned` warning when it is large. This is a one-shot
-    /// solve, so `hardening.refine` buys a componentwise-certified `R`
-    /// at negligible cost; the shift flag is meaningless here and
-    /// ignored.
+    /// `R`, writing the 1-norm condition estimate of the factored
+    /// system `−(A1 + A0·G)` into `cond` when one is asked for — the
+    /// supervisor surfaces it as an `IllConditioned` warning when it is
+    /// large; the plain solve paths pass `None` and skip the estimate's
+    /// extra solves. This is a one-shot solve, so `hardening.refine`
+    /// buys a componentwise-certified `R` at negligible cost; the shift
+    /// flag is meaningless here and ignored.
     pub(crate) fn r_from_g_with_cond(
         &self,
         g: &Matrix,
         hardening: Hardening,
-    ) -> Result<(Matrix, f64)> {
+        cond: Option<&mut f64>,
+    ) -> Result<Matrix> {
         let m = self.phase_dim();
         workspace::with(m, |ws| {
             // t1 ← −(A1 + A0·G), factored into the reusable workspace.
@@ -1133,7 +1143,9 @@ impl Qbd {
             gemm_left(1.0, &self.a0, g, 1.0, &mut ws.t1);
             ws.t1.scale_mut(-1.0);
             ws.lu.factor_with(&ws.t1, hardening.setup_factor())?;
-            let cond = ws.lu.condition_estimate();
+            if let Some(cond) = cond {
+                *cond = ws.lu.condition_estimate();
+            }
             // R = A0·(−U)⁻¹ ⇔ solve X·(−U) = A0.
             let mut r = Matrix::zeros(m, m);
             if hardening.refine {
@@ -1142,7 +1154,7 @@ impl Qbd {
             } else {
                 ws.lu.solve_left_mat_into(self.a0.dense(), &mut r)?;
             }
-            Ok((r, cond))
+            Ok(r)
         })
     }
 
@@ -1217,8 +1229,7 @@ impl Qbd {
                 opts.hardening,
             )?,
         };
-        let r = self.r_from_g_with_cond(&g, opts.hardening)?.0;
-        Ok((self.boundary_from_gr(g, r, opts.hardening)?.0, iters))
+        Ok((self.solve_from_g(g, opts.hardening)?, iters))
     }
 
     /// Assembles the full stationary solution from an already-computed
@@ -1233,8 +1244,8 @@ impl Qbd {
     ///
     /// [`QbdError::Linalg`] on singular intermediate systems.
     pub fn solve_from_g(&self, g: Matrix, hardening: Hardening) -> Result<QbdSolution> {
-        let r = self.r_from_g_with_cond(&g, hardening)?.0;
-        Ok(self.boundary_from_gr(g, r, hardening)?.0)
+        let r = self.r_from_g_with_cond(&g, hardening, None)?;
+        self.boundary_from_gr(g, r, hardening, None)
     }
 
     /// True residual `‖A2 + A1·G + A0·G²‖∞` of a candidate `G` — the
@@ -1251,8 +1262,9 @@ impl Qbd {
     }
 
     /// Assembles the boundary vectors `(π₀, π₁)` and the full solution
-    /// from already-computed `G` and `R`, returning the 1-norm condition
-    /// estimate of the boundary linear system alongside.
+    /// from already-computed `G` and `R`, writing the 1-norm condition
+    /// estimate of the boundary linear system into `cond` when one is
+    /// asked for.
     ///
     /// The boundary system inherits the generator's full dynamic range
     /// (TPT stage rates span `p^T`), so it is the single most
@@ -1264,7 +1276,8 @@ impl Qbd {
         g: Matrix,
         r: Matrix,
         hardening: Hardening,
-    ) -> Result<(QbdSolution, f64)> {
+        cond: Option<&mut f64>,
+    ) -> Result<QbdSolution> {
         let m = self.phase_dim();
 
         // Boundary system for x = [π0, π1]:
@@ -1309,7 +1322,9 @@ impl Qbd {
         // (which is keyed to m); a dedicated factorization is fine here.
         let mut lu_sys = LuWorkspace::new(dim);
         lu_sys.factor_with(&sys, hardening.setup_factor())?;
-        let cond = lu_sys.condition_estimate();
+        if let Some(cond) = cond {
+            *cond = lu_sys.condition_estimate();
+        }
         let mut rhs = Matrix::zeros(1, dim);
         rhs[(0, dim - 1)] = 1.0;
         let mut x = Matrix::zeros(1, dim);
@@ -1326,7 +1341,7 @@ impl Qbd {
             pi0[i] = x[(0, i)].max(0.0);
             pi1[i] = x[(0, m + i)].max(0.0);
         }
-        Ok((QbdSolution::assemble(pi0, pi1, r, g)?, cond))
+        QbdSolution::assemble(pi0, pi1, r, g)
     }
 }
 

@@ -939,7 +939,10 @@ impl SolverSupervisor {
             );
         }
 
-        let (mut r, cond_r) = self.qbd.r_from_g_with_cond(&g, accepted_hardening)?;
+        let (mut cond_r, mut cond_b) = (0.0, 0.0);
+        let mut r = self
+            .qbd
+            .r_from_g_with_cond(&g, accepted_hardening, Some(&mut cond_r))?;
         if !all_finite(&r) {
             return Err(QbdError::NumericalBreakdown {
                 stage: "R computation",
@@ -970,13 +973,15 @@ impl SolverSupervisor {
                     refine: true,
                     ..accepted_hardening
                 };
-                let r2 = self.qbd.r_from_g_with_cond(&g, refined)?.0;
+                let r2 = self.qbd.r_from_g_with_cond(&g, refined, None)?;
                 if all_finite(&r2) {
                     r = r2;
                 }
             }
         }
-        let (solution, cond_b) = self.qbd.boundary_from_gr(g, r, accepted_hardening)?;
+        let solution = self
+            .qbd
+            .boundary_from_gr(g, r, accepted_hardening, Some(&mut cond_b))?;
         if cond_b > self.options.condition_threshold {
             warn(
                 &mut warnings,
