@@ -310,7 +310,7 @@ fn main() {
             ns
         };
         let g = qbd.g_matrix(opts).unwrap();
-        let residual = (qbd.a2() + &(qbd.a1() * &g) + &(qbd.a0() * &(&g * &g))).norm_inf();
+        let residual = qbd.g_residual(&g);
         eprintln!(
             "g_solve {label} (m={m}): {ns:>14.0} ns  serial {baseline:>14.0} ns \
              ({threads} thread(s))  residual {residual:.2e}"

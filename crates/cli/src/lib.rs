@@ -26,9 +26,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use performa_core::{
-    blowup, install_sigint, sensitivity, store_merge, store_verify, Axis, CancelToken,
-    ClusterModel, CoreError, GStrategy, Scenario, StageBudget, StoreError, StoreHandle,
-    SupervisorOptions, SweepOptions, SweepPlan,
+    blowup, install_sigint, sensitivity, store_merge, store_verify, Axis, ClusterModel, CoreError,
+    GStrategy, Scenario, StageBudget, Stop, StoreError, StoreHandle, SupervisorOptions,
+    SweepOptions, SweepPlan,
 };
 use performa_dist::{Dist, DistSpec};
 use performa_sim::{
@@ -485,10 +485,13 @@ fn parse_fallback(spec: &str) -> Result<Vec<StageBudget>> {
         .collect()
 }
 
-/// Parses the wall-clock `--deadline` (seconds), if present.
-fn parse_deadline(args: &Args) -> Result<Option<Duration>> {
+/// The run's [`Stop`]: cancelled by Ctrl-C once [`install_sigint`] has
+/// run, with the wall-clock `--deadline` (seconds), if present, fixed
+/// now.
+fn parse_stop(args: &Args) -> Result<Stop> {
+    let stop = Stop::for_process();
     if !args.has("deadline") {
-        return Ok(None);
+        return Ok(stop);
     }
     let secs = args.get("deadline", 0.0_f64)?;
     if !(secs.is_finite() && secs >= 0.0) {
@@ -496,7 +499,7 @@ fn parse_deadline(args: &Args) -> Result<Option<Duration>> {
             "--deadline {secs} must be a non-negative number of seconds"
         )));
     }
-    Ok(Some(Duration::from_secs_f64(secs)))
+    Ok(stop.child(Duration::from_secs_f64(secs)))
 }
 
 /// Builds [`SupervisorOptions`] from the resilience flags
@@ -525,10 +528,7 @@ pub fn supervisor_options(args: &Args) -> Result<SupervisorOptions> {
             stage.max_iterations = stage.max_iterations.min(cap);
         }
     }
-    if let Some(d) = parse_deadline(args)? {
-        opts = opts.with_deadline(d);
-    }
-    Ok(opts)
+    Ok(opts.with_stop(parse_stop(args)?))
 }
 
 /// Runs a subcommand, writing human output to `out`.
@@ -657,12 +657,11 @@ pub fn run<W: std::io::Write>(command: &str, args: &Args, out: &mut W) -> Result
             }
             // Cooperative shutdown: first Ctrl-C trips the process-wide
             // cancel flag and the sweep drains gracefully (flushes the
-            // store, exits 40); a second Ctrl-C kills the process.
+            // store, exits 40); a second Ctrl-C kills the process. On
+            // sweep verbs --deadline is the whole-run budget, split into
+            // per-point deadlines by the cost-informed policy.
             install_sigint();
-            opts.cancel = Some(CancelToken::for_process());
-            // On sweep verbs --deadline is the whole-run budget, split
-            // into per-point deadlines by the cost-informed policy.
-            opts.run_budget = parse_deadline(args)?;
+            opts.stop = parse_stop(args)?;
             if args.has("store") {
                 match open_store(args)? {
                     StoreOpen::Ready(handle) => opts.store = Some(handle),
@@ -745,10 +744,8 @@ pub fn run<W: std::io::Write>(command: &str, args: &Args, out: &mut W) -> Result
             let reps = args.get("reps", 5u64)?;
             let seed = args.get("seed", 0u64)?;
             let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
-            let mut ropts = replicate::ReplicationOptions::with_threads(threads);
-            if let Some(d) = parse_deadline(args)? {
-                ropts = ropts.with_deadline(d);
-            }
+            let ropts =
+                replicate::ReplicationOptions::with_threads(threads).with_stop(parse_stop(args)?);
             let (ci, outcome) = replicate::replicated_ci_robust(reps, seed, &ropts, |s| {
                 sim.run(s).mean_queue_length
             })?;
@@ -1527,13 +1524,16 @@ mod tests {
             ("tolerance", "1e-9"),
             ("deadline", "30"),
         ]);
+        let before = std::time::Instant::now();
         let opts = supervisor_options(&a).unwrap();
         assert_eq!(opts.chain.len(), 2);
         assert_eq!(opts.chain[0].strategy, GStrategy::LogarithmicReduction);
         assert_eq!(opts.chain[1].strategy, GStrategy::FunctionalIteration);
         assert!(opts.chain.iter().all(|s| s.max_iterations <= 80));
         assert!((opts.tolerance - 1e-9).abs() < 1e-24);
-        assert_eq!(opts.deadline, Some(std::time::Duration::from_secs(30)));
+        let deadline = opts.stop.deadline().expect("--deadline arms the stop");
+        let grant = Duration::from_secs(30);
+        assert!(deadline >= before + grant && deadline <= std::time::Instant::now() + grant);
 
         assert!(supervisor_options(&args(&[("max-iter", "0")])).is_err());
         assert!(supervisor_options(&args(&[("deadline", "-1")])).is_err());

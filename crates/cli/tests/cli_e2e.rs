@@ -131,6 +131,21 @@ fn performa_code(args: &[&str]) -> (Option<i32>, String, String) {
     )
 }
 
+#[test]
+fn solve_under_an_expired_deadline_fails_with_a_typed_error() {
+    let (code, _, err) = performa_code(&["solve", "--rho", "0.7", "--deadline", "0"]);
+    assert_eq!(code, Some(20), "{err}");
+    assert!(err.contains("deadline expired"), "{err}");
+}
+
+#[test]
+fn simulate_under_an_expired_deadline_fails_when_no_replication_ran() {
+    let (code, _, err) = performa_code(&[
+        "simulate", "--reps", "4", "--cycles", "200", "--deadline", "0",
+    ]);
+    assert_eq!(code, Some(20), "{err}");
+}
+
 fn scratch(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("performa_e2e_{tag}_{}.log", std::process::id()))
 }

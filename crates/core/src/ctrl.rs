@@ -1,11 +1,12 @@
-//! Run-level control: cooperative cancellation and budget splitting.
+//! Run-level control: cooperative interruption and budget splitting.
 //!
-//! [`CancelToken`] (re-exported from `performa-ctrl`) is the shared
-//! stop signal, checked at the sweep's work-pull, inside the solver
+//! [`Stop`] (re-exported from `performa-ctrl`) is the one interruption
+//! primitive, probed at the sweep's work-pull, inside the solver
 //! supervisor between stages, and at the counted iteration loops'
-//! amortized check stride. [`RunBudget`] turns one whole-run wall-clock
-//! budget (the CLI's `--deadline` on sweep verbs) into per-point
-//! deadlines.
+//! amortized check stride. A sweep's stop may carry the whole-run
+//! deadline (the CLI's `--deadline` on sweep verbs); [`RunBudget`]
+//! turns it into per-point deadlines, each a [`Stop::child`] of the
+//! run's stop.
 //!
 //! # Budget split policy
 //!
@@ -22,16 +23,18 @@
 //!   remaining budget — over-spending points steal from the tail of the
 //!   grid rather than failing spuriously;
 //! * **floored** — never below the configured floor, so late points are
-//!   not handed degenerate microsecond deadlines.
+//!   not handed degenerate microsecond deadlines. A grant may therefore
+//!   outlast the run's deadline by up to the floor.
 //!
-//! When the budget is exhausted [`RunBudget::allot`] returns `None` and
-//! the pool stops issuing points; completed points are untouched, so
-//! the run exits with accurate partial stats and a resumable store.
+//! When the run's deadline has passed [`RunBudget::allot`] returns
+//! `None` and the pool stops issuing points; completed points are
+//! untouched, so the run exits with accurate partial stats and a
+//! resumable store.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-pub use performa_ctrl::{install_sigint, CancelToken, EXIT_PARTIAL};
+pub use performa_ctrl::{install_sigint, Interrupt, Stop, EXIT_PARTIAL};
 
 /// Default per-point deadline floor: enough for any healthy point on
 /// paper-scale models, small enough that a stalled point cannot eat a
@@ -41,49 +44,33 @@ pub const DEFAULT_POINT_FLOOR: Duration = Duration::from_millis(250);
 /// Smoothing of the per-point cost EWMA: `ewma ← (3·ewma + cost) / 4`.
 const EWMA_WEIGHT: u64 = 3;
 
-/// Splits one whole-run wall-clock budget into per-point deadlines (see
-/// the [module docs](self) for the policy). Thread-safe: workers call
-/// [`allot`](RunBudget::allot) / [`record`](RunBudget::record)
+/// Splits the time left before a run's deadline into per-point grants
+/// (see the [module docs](self) for the policy). Thread-safe: workers
+/// call [`allot`](RunBudget::allot) / [`record`](RunBudget::record)
 /// concurrently without locks.
 #[derive(Debug)]
 pub struct RunBudget {
-    start: Instant,
-    total: Duration,
     floor: Duration,
     /// EWMA of observed per-point solve durations, in nanoseconds
     /// (0 = no observation yet).
     ewma_nanos: AtomicU64,
 }
 
-impl RunBudget {
-    /// A budget of `total` starting now, with the default floor.
-    #[must_use]
-    pub fn new(total: Duration) -> Self {
-        RunBudget::with_floor(total, DEFAULT_POINT_FLOOR)
+impl Default for RunBudget {
+    /// A budget with the [`DEFAULT_POINT_FLOOR`].
+    fn default() -> Self {
+        RunBudget::with_floor(DEFAULT_POINT_FLOOR)
     }
+}
 
-    /// A budget of `total` starting now with an explicit per-point
-    /// deadline floor.
+impl RunBudget {
+    /// A budget with an explicit per-point grant floor.
     #[must_use]
-    pub fn with_floor(total: Duration, floor: Duration) -> Self {
+    pub fn with_floor(floor: Duration) -> Self {
         RunBudget {
-            start: Instant::now(),
-            total,
             floor,
             ewma_nanos: AtomicU64::new(0),
         }
-    }
-
-    /// Wall-clock budget remaining (zero once exhausted).
-    #[must_use]
-    pub fn remaining(&self) -> Duration {
-        self.total.saturating_sub(self.start.elapsed())
-    }
-
-    /// Whether the whole-run budget has been used up.
-    #[must_use]
-    pub fn exhausted(&self) -> bool {
-        self.remaining().is_zero()
     }
 
     /// Feeds one completed point's solve duration into the cost EWMA.
@@ -101,12 +88,12 @@ impl RunBudget {
         self.ewma_nanos.store(next.max(1), Ordering::Relaxed);
     }
 
-    /// The per-point deadline for the next point, given how many grid
-    /// points are still unsolved, or `None` when the budget is
-    /// exhausted (the pool must stop issuing points).
+    /// The time to grant the next point against the run's `deadline`,
+    /// given how many grid points are still unsolved, or `None` once the
+    /// deadline has passed (the pool must stop issuing points).
     #[must_use]
-    pub fn allot(&self, points_left: usize) -> Option<Instant> {
-        let remaining = self.remaining();
+    pub fn allot(&self, deadline: Instant, points_left: usize) -> Option<Duration> {
+        let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return None;
         }
@@ -119,7 +106,7 @@ impl RunBudget {
             // about), but never more than everything that is left.
             grant = (ewma * 2).min(remaining).max(self.floor);
         }
-        Some(Instant::now() + grant)
+        Some(grant)
     }
 }
 
@@ -129,9 +116,9 @@ mod tests {
 
     #[test]
     fn fresh_budget_grants_fair_shares() {
-        let b = RunBudget::with_floor(Duration::from_secs(100), Duration::from_millis(1));
-        let d = b.allot(10).expect("budget not exhausted");
-        let grant = d - Instant::now();
+        let b = RunBudget::with_floor(Duration::from_millis(1));
+        let deadline = Instant::now() + Duration::from_secs(100);
+        let grant = b.allot(deadline, 10).expect("budget not exhausted");
         // Fair share is ~10 s; allow slack for test-runner jitter.
         assert!(grant > Duration::from_secs(8), "grant {grant:?}");
         assert!(grant < Duration::from_secs(12), "grant {grant:?}");
@@ -139,29 +126,30 @@ mod tests {
 
     #[test]
     fn zero_budget_is_exhausted_immediately() {
-        let b = RunBudget::new(Duration::ZERO);
-        assert!(b.exhausted());
-        assert!(b.allot(5).is_none());
+        let b = RunBudget::default();
+        let stop = Stop::default().child(Duration::ZERO);
+        assert_eq!(stop.probe(), Some(Interrupt::DeadlineExceeded));
+        assert!(b.allot(stop.deadline().unwrap(), 5).is_none());
     }
 
     #[test]
     fn floor_bounds_small_fair_shares() {
-        let b = RunBudget::with_floor(Duration::from_secs(1), Duration::from_millis(400));
+        let b = RunBudget::with_floor(Duration::from_millis(400));
+        let deadline = Instant::now() + Duration::from_secs(1);
         // Fair share 1s/1000 = 1ms, far below the floor.
-        let d = b.allot(1000).expect("budget not exhausted");
-        let grant = d - Instant::now();
+        let grant = b.allot(deadline, 1000).expect("budget not exhausted");
         assert!(grant >= Duration::from_millis(300), "grant {grant:?}");
     }
 
     #[test]
     fn expensive_history_raises_the_grant() {
-        let b = RunBudget::with_floor(Duration::from_secs(100), Duration::from_millis(1));
+        let b = RunBudget::with_floor(Duration::from_millis(1));
+        let deadline = Instant::now() + Duration::from_secs(100);
         // Points have been costing ~20 s; fair share for 100 left is 1 s.
         for _ in 0..8 {
             b.record(Duration::from_secs(20));
         }
-        let d = b.allot(100).expect("budget not exhausted");
-        let grant = d - Instant::now();
+        let grant = b.allot(deadline, 100).expect("budget not exhausted");
         assert!(grant > Duration::from_secs(10), "grant {grant:?}");
         // And the grant never exceeds what is left.
         assert!(grant <= Duration::from_secs(100), "grant {grant:?}");
@@ -169,7 +157,7 @@ mod tests {
 
     #[test]
     fn record_is_monotone_smoothing_not_last_write() {
-        let b = RunBudget::new(Duration::from_secs(10));
+        let b = RunBudget::default();
         b.record(Duration::from_secs(4));
         b.record(Duration::from_millis(1));
         let ewma = Duration::from_nanos(b.ewma_nanos.load(Ordering::Relaxed));

@@ -41,8 +41,8 @@ pub enum CoreError {
         /// The store layer's rendered error.
         message: String,
     },
-    /// The sweep was cancelled (Ctrl-C or a tripped `CancelToken`) or
-    /// its run budget was exhausted before this point was solved. The
+    /// The sweep was cancelled (Ctrl-C or a cancelled `Stop`) or its
+    /// run deadline passed before this point was solved. The
     /// point is *not* persisted as a failure — a resumed run re-solves
     /// it from scratch.
     Cancelled,

@@ -68,7 +68,7 @@ mod performability;
 mod solution;
 
 pub use crash_discard::{CrashDiscardCluster, CrashDiscardSolution};
-pub use ctrl::{install_sigint, CancelToken, RunBudget, EXIT_PARTIAL};
+pub use ctrl::{install_sigint, RunBudget, Stop, EXIT_PARTIAL};
 pub use error::CoreError;
 pub use finite_buffer::{FiniteBufferCluster, FiniteBufferSolution};
 pub use load_dep::{LoadDependentCluster, LoadDependentSolution};
@@ -113,12 +113,12 @@ pub type Result<T> = std::result::Result<T, CoreError>;
 pub mod prelude {
     pub use crate::{blowup, sensitivity, telco};
     pub use crate::{
-        install_sigint, store_key, Axis, CancelToken, ClusterBuilder, ClusterModel,
-        ClusterSolution, CoreError, CrashDiscardCluster, CrashDiscardSolution, FiniteBufferCluster,
-        FiniteBufferSolution, GStrategy, Grid, LoadDependentCluster, LoadDependentSolution,
-        MeArrivalCluster, MeArrivalSolution, RunBudget, Scenario, SolveReport, SolverSupervisor,
-        StageBudget, StoreHandle, SupervisorOptions, SweepOptions, SweepPlan, SweepResult,
-        SweepStats, TransientAnalysis, EXIT_PARTIAL,
+        install_sigint, store_key, Axis, ClusterBuilder, ClusterModel, ClusterSolution, CoreError,
+        CrashDiscardCluster, CrashDiscardSolution, FiniteBufferCluster, FiniteBufferSolution,
+        GStrategy, Grid, LoadDependentCluster, LoadDependentSolution, MeArrivalCluster,
+        MeArrivalSolution, RunBudget, Scenario, SolveReport, SolverSupervisor, StageBudget, Stop,
+        StoreHandle, SupervisorOptions, SweepOptions, SweepPlan, SweepResult, SweepStats,
+        TransientAnalysis, EXIT_PARTIAL,
     };
     pub use performa_dist::DistSpec;
     pub use performa_qbd::{Hardening, SolveOptions};

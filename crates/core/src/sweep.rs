@@ -72,7 +72,7 @@ use performa_qbd::{
 };
 use performa_store::{PointKey, PointRecord, StoreHandle};
 
-use crate::ctrl::{CancelToken, RunBudget};
+use crate::ctrl::{Interrupt, RunBudget, Stop};
 use crate::model::ClusterModel;
 use crate::solution::ClusterSolution;
 use crate::{CoreError, Result};
@@ -299,7 +299,9 @@ pub struct SweepOptions {
     /// instead of the plain default-tolerance solve. `None` (default)
     /// keeps the plain path, which is what the paper figures use —
     /// the supervisor's relaxed acceptance and `G` renormalization are
-    /// not bit-identical to [`ClusterModel::solve`].
+    /// not bit-identical to [`ClusterModel::solve`]. A
+    /// [`SupervisorOptions::stop`] set on this template is replaced by
+    /// each point's own stop (see [`SweepOptions::stop`]).
     pub supervisor: Option<SupervisorOptions>,
     /// Iteration budget for a warm-started functional attempt before
     /// the point falls back to a cold solve.
@@ -316,25 +318,24 @@ pub struct SweepOptions {
     /// replayed; a solver-version bump invalidates both kinds by
     /// changing the key.)
     pub retry_failed: bool,
-    /// Cooperative cancellation token. When tripped (Ctrl-C via
-    /// [`crate::install_sigint`], or programmatically) the pool stops
-    /// issuing points, in-flight solves abort at their next interrupt
-    /// check, and every unsolved point reports [`CoreError::Cancelled`]
-    /// — which is never persisted, so a resumed run with the same store
-    /// re-solves exactly the cancelled gap.
-    pub cancel: Option<CancelToken>,
-    /// Whole-run wall-clock budget, split into per-point deadlines by
-    /// [`RunBudget`] (fair share, raised for expensive-looking points,
-    /// floored — see [`crate::ctrl`]). When the budget runs out the
-    /// remaining points report [`CoreError::Cancelled`] and the run
-    /// returns partial results.
-    pub run_budget: Option<Duration>,
+    /// Interruption of the whole run. When it is cancelled (Ctrl-C via
+    /// [`crate::install_sigint`], or programmatically) or its deadline
+    /// passes, the pool stops issuing points and every unsolved point
+    /// reports [`CoreError::Cancelled`] — which is never persisted, so a
+    /// resumed run with the same store re-solves exactly the gap.
+    /// In-flight solves abort at their next interrupt check on
+    /// cancellation. The deadline is the whole-run budget: [`RunBudget`]
+    /// splits it into per-point deadlines (fair share, raised for
+    /// expensive-looking points, floored — see [`crate::ctrl`]). It is
+    /// fixed when the stop is built, so every plan run with clones of
+    /// these options shares it.
+    pub stop: Stop,
     /// Fixed per-point deadline. A point that trips it twice — the
     /// cold attempt and one hardened retry under a fresh deadline — is
     /// persisted as a *quarantined* failure ([`CoreError::Quarantined`])
     /// so a resumed run replays the failure instead of re-blocking a
-    /// pool thread on it. Combined with `run_budget`, the tighter of
-    /// the two deadlines applies.
+    /// pool thread on it. Combined with a deadline on `stop`, the
+    /// tighter of the two grants applies.
     pub point_deadline: Option<Duration>,
     /// Threads for the *linear-algebra kernels inside one solve*
     /// (parallel GEMM row panels and multi-RHS LU stripes), applied
@@ -358,8 +359,7 @@ impl Default for SweepOptions {
             warm_budget: 2000,
             store: None,
             retry_failed: false,
-            cancel: None,
-            run_budget: None,
+            stop: Stop::default(),
             point_deadline: None,
             kernel_threads: None,
         }
@@ -416,17 +416,11 @@ impl SweepOptions {
         self
     }
 
-    /// Attaches a cooperative cancellation token.
+    /// Sets the [`Stop`] that interrupts the run (see
+    /// [`SweepOptions::stop`]).
     #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Sets the whole-run wall-clock budget.
-    #[must_use]
-    pub fn with_run_budget(mut self, budget: Duration) -> Self {
-        self.run_budget = Some(budget);
+    pub fn with_stop(mut self, stop: Stop) -> Self {
+        self.stop = stop;
         self
     }
 
@@ -633,7 +627,7 @@ impl SweepPlan {
                 // Feed the budget's cost EWMA with real solve times only
                 // — store replays are microseconds and say nothing about
                 // what an unsolved point will cost.
-                ctx.record_budget(cost.elapsed);
+                ctx.budget.record(cost.elapsed);
             }
             ctx.record_cost(i, cost);
             let sol = outcome?;
@@ -822,10 +816,11 @@ struct ExecContext<'a> {
     store_appends: AtomicU64,
     retries: AtomicU64,
     quarantined: AtomicU64,
-    /// Whole-run deadline budget, when the plan has one.
-    budget: Option<RunBudget>,
-    /// Latched once a worker observes cancellation or budget
-    /// exhaustion; unissued slots then map to [`CoreError::Cancelled`].
+    /// Splits the run's deadline, when its stop has one, into per-point
+    /// grants.
+    budget: RunBudget,
+    /// Latched once a worker observes the run's stop fire; unissued
+    /// slots then map to [`CoreError::Cancelled`].
     stopped: AtomicBool,
     /// Per-point cost records, indexed by grid position; workers write
     /// their slot once, after solving.
@@ -846,7 +841,7 @@ impl<'a> ExecContext<'a> {
             store_appends: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
-            budget: plan.options.run_budget.map(RunBudget::new),
+            budget: RunBudget::default(),
             stopped: AtomicBool::new(false),
             costs: Mutex::new(vec![PointCost::default(); plan.points.len()]),
             started: Instant::now(),
@@ -859,36 +854,22 @@ impl<'a> ExecContext<'a> {
         costs[i] = cost;
     }
 
-    /// Feeds one real solve duration into the budget's cost EWMA.
-    fn record_budget(&self, elapsed: Duration) {
-        if let Some(budget) = &self.budget {
-            budget.record(elapsed);
-        }
-    }
-
-    /// Whether the run is stopping (token tripped or budget exhausted).
-    /// Checked by every worker before pulling the next point; the first
+    /// Whether the run is stopping (cancelled or out of time). Checked
+    /// by every worker before pulling the next point; the first
     /// observation latches the stop, emits the cancellation event and
     /// dumps the flight recorder for the post-mortem.
     fn should_stop(&self) -> bool {
         if self.stopped.load(Ordering::Relaxed) {
             return true;
         }
-        if self
-            .plan
-            .options
-            .cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
-        {
-            self.mark_stopped("cancelled");
-            return true;
-        }
-        if self.budget.as_ref().is_some_and(RunBudget::exhausted) {
-            self.mark_stopped("budget_exhausted");
-            return true;
-        }
-        false
+        let Some(why) = self.plan.options.stop.probe() else {
+            return false;
+        };
+        self.mark_stopped(match why {
+            Interrupt::Cancelled => "cancelled",
+            Interrupt::DeadlineExceeded => "budget_exhausted",
+        });
+        true
     }
 
     /// Whether a stop was observed at any time during the run.
@@ -908,29 +889,25 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// The deadline for one point attempt: the fixed per-point deadline
-    /// and/or a fresh budget allotment, whichever is tighter. An
-    /// exhausted budget latches the stop and cancels the point.
-    fn point_deadline(&self, index: usize) -> Result<Option<Instant>> {
-        let fixed = self
-            .plan
-            .options
-            .point_deadline
-            .map(|d| Instant::now() + d);
-        let Some(budget) = &self.budget else {
-            return Ok(fixed);
-        };
-        // Points are issued in index order, so the unissued remainder of
-        // the grid is a good estimate of how many ways the remaining
-        // budget must still stretch.
-        let points_left = self.plan.points.len().saturating_sub(index).max(1);
-        match budget.allot(points_left) {
-            Some(granted) => Ok(Some(fixed.map_or(granted, |f| f.min(granted)))),
-            None => {
+    /// The stop for one point attempt: the run's stop with a fresh
+    /// deadline from the fixed per-point deadline and/or a budget
+    /// allotment against the run's deadline, whichever is tighter. A
+    /// passed run deadline latches the stop and cancels the point.
+    fn point_stop(&self, index: usize) -> Result<Stop> {
+        let run = &self.plan.options.stop;
+        let mut grant = self.plan.options.point_deadline;
+        if let Some(deadline) = run.deadline() {
+            // Points are issued in index order, so the unissued remainder
+            // of the grid is a good estimate of how many ways the
+            // remaining budget must still stretch.
+            let points_left = self.plan.points.len().saturating_sub(index).max(1);
+            let Some(allotted) = self.budget.allot(deadline, points_left) else {
                 self.mark_stopped("budget_exhausted");
-                Err(CoreError::Cancelled)
-            }
+                return Err(CoreError::Cancelled);
+            };
+            grant = Some(grant.map_or(allotted, |fixed| fixed.min(allotted)));
         }
+        Ok(grant.map_or_else(|| run.clone(), |g| run.child(g)))
     }
 
     /// Counts and reports a quarantined point: the per-point deadline
@@ -1099,10 +1076,10 @@ impl<'a> ExecContext<'a> {
 
     /// The pre-store solve path: modulator (cached), then supervisor,
     /// warm start, or the plain cold solve with its bounded
-    /// retry-with-hardening ladder. Per-point deadlines and the cancel
-    /// token are threaded into whichever solver runs; a point that
-    /// trips its deadline twice (first attempt + hardened retry under a
-    /// fresh allotment) is quarantined.
+    /// retry-with-hardening ladder. The point's [`Stop`] is threaded into
+    /// whichever solver runs; a point that trips its deadline twice
+    /// (first attempt + hardened retry under a fresh allotment) is
+    /// quarantined.
     fn solve_point_fresh(
         &self,
         point: &PlanPoint,
@@ -1118,37 +1095,25 @@ impl<'a> ExecContext<'a> {
         } else {
             model.to_qbd()?
         };
-        let cancel = self.plan.options.cancel.clone();
-        let deadline = self.point_deadline(index)?;
+        let stop = self.point_stop(index)?;
 
         if let Some(sup) = &self.plan.options.supervisor {
             cost.source = CostSource::Supervisor;
-            let attempt = |deadline: Option<Instant>,
-                           cost: &mut PointCost|
-             -> Result<ClusterSolution> {
-                let mut opts = sup.clone();
-                if let Some(token) = cancel.clone() {
-                    opts = opts.with_cancel(token);
-                }
-                if let Some(d) = deadline {
-                    let grant = d.saturating_duration_since(Instant::now());
-                    opts.deadline = Some(opts.deadline.map_or(grant, |user| user.min(grant)));
-                }
+            let attempt = |stop: Stop, cost: &mut PointCost| -> Result<ClusterSolution> {
+                let opts = sup.clone().with_stop(stop);
                 let (sol, report) = SolverSupervisor::with_options(qbd.clone(), opts).solve()?;
                 cost.strategy = report.strategy.key();
                 cost.iterations += report.total_iterations as u64;
                 Ok(ClusterSolution::new(model.clone(), sol))
             };
-            return match attempt(deadline, cost) {
+            return match attempt(stop, cost) {
                 Err(CoreError::Qbd(QbdError::Cancelled { .. })) => Err(CoreError::Cancelled),
-                Err(CoreError::Qbd(first @ QbdError::DeadlineExceeded { .. }))
-                    if deadline.is_some() =>
-                {
+                Err(CoreError::Qbd(first @ QbdError::DeadlineExceeded { .. })) => {
                     // The supervisor already escalates hardening
                     // internally; the retry's value is the fresh
                     // allotment (the first one may have been starved by
                     // a noisy EWMA or a contended pool).
-                    match attempt(self.point_deadline(index)?, cost) {
+                    match attempt(self.point_stop(index)?, cost) {
                         Err(CoreError::Qbd(ref second @ QbdError::DeadlineExceeded { .. })) => {
                             Err(self.quarantine(point.x, &first, second))
                         }
@@ -1163,7 +1128,7 @@ impl<'a> ExecContext<'a> {
         }
 
         if self.plan.options.warm_start {
-            if let Some(sol) = self.try_warm(&qbd, model, deadline, &cancel, worker, cost)? {
+            if let Some(sol) = self.try_warm(&qbd, model, &stop, worker, cost)? {
                 return Ok(sol);
             }
         }
@@ -1177,18 +1142,13 @@ impl<'a> ExecContext<'a> {
         // successful points is unaffected.
         cost.source = CostSource::Cold;
         cost.strategy = "logred";
-        let interruptible = |mut opts: SolveOptions, deadline: Option<Instant>| {
-            opts.deadline = deadline;
-            opts.cancel = cancel.clone();
-            opts
-        };
-        let sol = match qbd.solve_with_count(interruptible(SolveOptions::default(), deadline)) {
+        let sol = match qbd.solve_with_count(SolveOptions::default().with_stop(stop)) {
             Ok((sol, iters)) => {
                 cost.iterations = iters as u64;
                 sol
             }
             Err(QbdError::Cancelled { .. }) => return Err(CoreError::Cancelled),
-            Err(first @ QbdError::DeadlineExceeded { .. }) if deadline.is_some() => {
+            Err(first @ QbdError::DeadlineExceeded { .. }) => {
                 // First deadline trip: one hardened retry under a fresh
                 // allotment. A second trip quarantines the point — it
                 // is persisted as a failure so a resumed run does not
@@ -1196,9 +1156,8 @@ impl<'a> ExecContext<'a> {
                 self.retries.fetch_add(1, Ordering::Relaxed);
                 performa_obs::counter_add("sweep.retry", 1);
                 cost.source = CostSource::Retry;
-                let retry_deadline = self.point_deadline(index)?;
-                match qbd.solve_with_count(interruptible(SolveOptions::hardened(), retry_deadline))
-                {
+                let retry = SolveOptions::hardened().with_stop(self.point_stop(index)?);
+                match qbd.solve_with_count(retry) {
                     Ok((sol, iters)) => {
                         cost.iterations += iters as u64;
                         sol
@@ -1214,13 +1173,11 @@ impl<'a> ExecContext<'a> {
                 self.retries.fetch_add(1, Ordering::Relaxed);
                 performa_obs::counter_add("sweep.retry", 1);
                 cost.source = CostSource::Retry;
-                let retry_deadline = self.point_deadline(index)?;
-                let (sol, iters) = qbd
-                    .solve_with_count(interruptible(SolveOptions::hardened(), retry_deadline))
-                    .map_err(|e| match e {
-                        QbdError::Cancelled { .. } => CoreError::Cancelled,
-                        other => other.into(),
-                    })?;
+                let retry = SolveOptions::hardened().with_stop(self.point_stop(index)?);
+                let (sol, iters) = qbd.solve_with_count(retry).map_err(|e| match e {
+                    QbdError::Cancelled { .. } => CoreError::Cancelled,
+                    other => other.into(),
+                })?;
                 cost.iterations = iters as u64;
                 sol
             }
@@ -1245,8 +1202,7 @@ impl<'a> ExecContext<'a> {
         &self,
         qbd: &Qbd,
         model: &ClusterModel,
-        deadline: Option<Instant>,
-        cancel: &Option<CancelToken>,
+        stop: &Stop,
         worker: &mut WorkerState,
         cost: &mut PointCost,
     ) -> Result<Option<ClusterSolution>> {
@@ -1257,11 +1213,10 @@ impl<'a> ExecContext<'a> {
         else {
             return Ok(None);
         };
-        let mut opts = SolveOptions::default()
+        let opts = SolveOptions::default()
             .with_initial_g(seed.clone())
-            .tap_budget(self.plan.options.warm_budget);
-        opts.deadline = deadline;
-        opts.cancel = cancel.clone();
+            .with_max_iterations(self.plan.options.warm_budget.max(1))
+            .with_stop(stop.clone());
         let (g, warm_iters) = match qbd.g_matrix_functional_with_count(opts) {
             Ok(pair) => pair,
             Err(QbdError::Cancelled { .. }) => return Err(CoreError::Cancelled),
@@ -1341,18 +1296,6 @@ impl<'a> ExecContext<'a> {
             .map(|((x, outcome), cost)| SweepPoint { x, outcome, cost })
             .collect();
         SweepResult { points, stats }
-    }
-}
-
-/// Extension used internally to cap a warm attempt's budget.
-trait TapBudget {
-    fn tap_budget(self, budget: usize) -> Self;
-}
-
-impl TapBudget for SolveOptions {
-    fn tap_budget(mut self, budget: usize) -> Self {
-        self.max_iterations = budget.max(1);
-        self
     }
 }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use performa_core::{
-    Axis, CancelToken, ClusterModel, CoreError, Scenario, StoreHandle, SweepOptions, SweepPlan,
+    Axis, ClusterModel, CoreError, Scenario, Stop, StoreHandle, SweepOptions, SweepPlan,
 };
 use performa_dist::Exponential;
 use performa_obs as obs;
@@ -118,9 +118,9 @@ fn mid_run_cancellation_is_partial_flushed_and_resumable_with_zero_resolves() {
     // Cancel from inside the sweep after the third point solves — the
     // pool must stop issuing points and report the rest as Cancelled.
     let trace = Trace::attach("cancel");
-    let token = CancelToken::new();
+    let token = Stop::new();
     let (mut opts, handle) = opts_with_store(&scratch.0);
-    opts.cancel = Some(token.clone());
+    opts.stop = token.clone();
     let solved_so_far = AtomicUsize::new(0);
     let result = rho_plan(rhos.clone()).with_options(opts).run_map(|sol| {
         if solved_so_far.fetch_add(1, Ordering::SeqCst) + 1 == 3 {
@@ -181,7 +181,7 @@ fn zero_run_budget_cancels_everything_before_issuing_points() {
     let rhos = vec![0.2, 0.4, 0.6];
     let n = rhos.len();
     let mut opts = SweepOptions::default().with_threads(1);
-    opts.run_budget = Some(Duration::ZERO);
+    opts.stop = Stop::default().child(Duration::ZERO);
     let result = rho_plan(rhos)
         .with_options(opts)
         .run_map(|sol| sol.normalized_mean_queue_length());
@@ -193,6 +193,34 @@ fn zero_run_budget_cancels_everything_before_issuing_points() {
         .points()
         .iter()
         .all(|p| matches!(p.outcome, Err(CoreError::Cancelled))));
+}
+
+/// The run deadline is fixed when the `Stop` is built, so every plan run
+/// with clones of one `SweepOptions` shares one whole-run budget: a
+/// budget spent by the first plan is not granted afresh to the second.
+#[test]
+fn plans_cloned_from_one_options_share_one_budget() {
+    let _guard = obs::test_lock();
+    let first = rho_plan(vec![0.2, 0.3]);
+    let second = rho_plan(vec![0.4, 0.5]);
+    let opts = SweepOptions::default()
+        .with_threads(1)
+        .with_stop(Stop::default().child(Duration::from_millis(30)));
+    let slow = |sol: &performa_core::ClusterSolution| {
+        std::thread::sleep(Duration::from_millis(60));
+        sol.normalized_mean_queue_length()
+    };
+
+    let result = first.with_options(opts.clone()).run_map(slow);
+    let stats = result.stats();
+    assert_eq!(stats.solved, 1, "the first point spends the whole budget");
+    assert_eq!(stats.cancelled, 1);
+
+    let result = second.with_options(opts).run_map(slow);
+    let stats = result.stats();
+    assert_eq!(stats.solved, 0, "the second plan gets no fresh budget");
+    assert_eq!(stats.cancelled, 2);
+    assert!(stats.interrupted());
 }
 
 #[cfg(feature = "fault-injection")]
@@ -295,9 +323,9 @@ mod faults {
             .run_map(|sol| sol.normalized_mean_queue_length())
             .expect_values("baseline");
 
-        let token = CancelToken::new();
+        let token = Stop::new();
         let (mut opts, handle) = opts_with_store(&scratch.0);
-        opts.cancel = Some(token.clone());
+        opts.stop = token.clone();
         let solved_so_far = AtomicUsize::new(0);
         // The final flush runs on this thread (inside `run_map`), so a
         // thread-local fsync fault reaches exactly that flush.
@@ -395,11 +423,11 @@ mod faults {
         let (handle, open_stats) = StoreHandle::open(&scratch.0).unwrap();
         assert!(open_stats.recovered_truncation, "torn tail must be recovered");
         assert_eq!(handle.len(), 5);
-        let token = CancelToken::new();
+        let token = Stop::new();
         let opts = SweepOptions::default()
             .with_store(handle.clone())
             .with_threads(1)
-            .with_cancel(token.clone());
+            .with_stop(token.clone());
         let replayed = AtomicUsize::new(0);
         let interrupted = rho_plan(rhos.clone()).with_options(opts).run_map(|sol| {
             if replayed.fetch_add(1, Ordering::SeqCst) + 1 == 2 {

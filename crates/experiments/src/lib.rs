@@ -240,16 +240,19 @@ pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
 /// * `--retry-failed` — re-attempt points whose stored record is a
 ///   persisted failure,
 /// * `--deadline S` — whole-run wall-clock budget in seconds, split
-///   into per-point deadlines by the cost-informed policy.
+///   into per-point deadlines by the cost-informed policy. It is fixed
+///   here, so every plan run with clones of the returned options shares
+///   one budget: `--deadline S` bounds the whole binary, not each curve.
 ///
 /// Every binary also gets the graceful-shutdown fabric: the first
-/// Ctrl-C trips the process-wide [`CancelToken`], the sweep drains and
-/// flushes the store, and [`exit_if_partial`] maps the interrupted run
-/// to [`performa_core::EXIT_PARTIAL`]; a second Ctrl-C kills the
-/// process.
+/// Ctrl-C trips the process-wide [`performa_core::Stop`], the sweep
+/// drains and flushes the store, and [`exit_if_partial`] maps the
+/// interrupted run to [`performa_core::EXIT_PARTIAL`]; a second Ctrl-C
+/// kills the process.
 ///
 /// Binaries that run several plans (one per curve) should `clone()` the
-/// returned options so every curve shares the one open store handle.
+/// returned options so every curve shares the one open store handle and
+/// the one budget.
 ///
 /// # Panics
 ///
@@ -261,7 +264,7 @@ pub fn sweep_options_from_args() -> SweepOptions {
     let mut opts = SweepOptions::default()
         .with_threads(arg_or("--threads", 0))
         .with_retry_failed(std::env::args().any(|a| a == "--retry-failed"))
-        .with_cancel(performa_core::CancelToken::for_process());
+        .with_stop(performa_core::Stop::for_process());
     if std::env::args().any(|a| a == "--kernel-threads") {
         opts = opts.with_kernel_threads(arg_or("--kernel-threads", 0));
     }
@@ -271,7 +274,7 @@ pub fn sweep_options_from_args() -> SweepOptions {
             secs.is_finite() && secs >= 0.0,
             "--deadline must be a non-negative number of seconds"
         );
-        opts.run_budget = Some(std::time::Duration::from_secs_f64(secs));
+        opts.stop = opts.stop.child(std::time::Duration::from_secs_f64(secs));
     }
     let argv: Vec<String> = std::env::args().collect();
     let store_path = argv

@@ -1,5 +1,7 @@
 use std::fmt;
 
+use performa_ctrl::Interrupt;
+
 /// Errors produced by the QBD solvers.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -47,12 +49,13 @@ pub enum QbdError {
         /// Iterations completed across all attempted stages.
         iterations: usize,
     },
-    /// A cooperative cancellation request (`CancelToken`) arrived before
-    /// any solver stage converged. Unlike [`QbdError::DeadlineExceeded`]
-    /// this says nothing about the point's difficulty — the run was
-    /// told to stop.
+    /// A cooperative cancellation request (a cancelled `Stop`) arrived
+    /// before any solver stage converged. Unlike
+    /// [`QbdError::DeadlineExceeded`] this says nothing about the point's
+    /// difficulty — the run was told to stop.
     Cancelled {
-        /// Stage that was running (or about to run) when the token tripped.
+        /// Stage that was running (or about to run) when the stop was
+        /// cancelled.
         stage: &'static str,
         /// Iterations completed across all attempted stages.
         iterations: usize,
@@ -93,6 +96,29 @@ impl fmt::Display for QbdError {
                 "cancelled in {stage} after {iterations} iterations"
             ),
             QbdError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
+        }
+    }
+}
+
+impl QbdError {
+    /// The typed error for a fired `Stop` observed in `stage` after
+    /// `iterations` iterations.
+    pub(crate) fn interrupted(why: Interrupt, stage: &'static str, iterations: usize) -> Self {
+        match why {
+            Interrupt::Cancelled => QbdError::Cancelled { stage, iterations },
+            Interrupt::DeadlineExceeded => QbdError::DeadlineExceeded { stage, iterations },
+        }
+    }
+
+    /// The inverse of [`QbdError::interrupted`]: why the stop fired and
+    /// the iterations run before it, or `None` for any other error.
+    pub(crate) fn interrupt(&self) -> Option<(Interrupt, usize)> {
+        match *self {
+            QbdError::Cancelled { iterations, .. } => Some((Interrupt::Cancelled, iterations)),
+            QbdError::DeadlineExceeded { iterations, .. } => {
+                Some((Interrupt::DeadlineExceeded, iterations))
+            }
+            _ => None,
         }
     }
 }

@@ -1,8 +1,7 @@
 use std::fmt;
 use std::str::FromStr;
-use std::time::Instant;
 
-use performa_ctrl::CancelToken;
+use performa_ctrl::Stop;
 use performa_linalg::{
     lu::{FactorOptions, Lu, LuWorkspace},
     ClassifiedMatrix, Matrix, Vector,
@@ -16,10 +15,10 @@ use crate::{QbdError, Result};
 /// Tolerance for generator row-sum validation, scaled by the largest rate.
 const ROWSUM_TOL: f64 = 1e-8;
 
-/// Residual/watchdog/deadline checks run every this many iterations
+/// Residual/watchdog/interrupt checks run every this many iterations
 /// (plus the final budgeted iteration), amortizing the `O(m²)` norm and
 /// finiteness sweeps across the `O(m³)` kernel work. Iteration 0 is
-/// always checked so armed deadlines abort before any expensive work.
+/// always checked so a fired [`Stop`] aborts before any expensive work.
 /// Convergence is only ever declared on a checked iteration, and the
 /// finiteness sweep runs before the convergence test there — a NaN can
 /// never masquerade as a converged iterate (`max_abs_diff` ignores NaN).
@@ -42,35 +41,6 @@ fn checked_iteration(it: usize, max_iterations: usize) -> bool {
 /// NaN/Inf watchdog: `true` iff every entry of `m` is finite.
 pub(crate) fn all_finite(m: &Matrix) -> bool {
     (0..m.nrows()).all(|i| m.row(i).iter().all(|v| v.is_finite()))
-}
-
-fn check_deadline(stage: &'static str, iterations: usize, deadline: Option<Instant>) -> Result<()> {
-    if let Some(d) = deadline {
-        if Instant::now() >= d {
-            return Err(QbdError::DeadlineExceeded { stage, iterations });
-        }
-    }
-    Ok(())
-}
-
-/// Combined interrupt check, run at the amortized [`CHECK_STRIDE`]: a
-/// tripped [`CancelToken`] wins over an expired deadline, so a Ctrl-C
-/// under a per-point deadline reports [`QbdError::Cancelled`] (the run
-/// was told to stop) rather than [`QbdError::DeadlineExceeded`] (the
-/// point looked too expensive).
-fn check_interrupt(
-    stage: &'static str,
-    iterations: usize,
-    deadline: Option<Instant>,
-    cancel: Option<&CancelToken>,
-) -> Result<()> {
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return Err(QbdError::Cancelled {
-            stage,
-            iterations,
-        });
-    }
-    check_deadline(stage, iterations, deadline)
 }
 
 /// Per-iteration observability: residual gauge always (cheap no-op when
@@ -316,14 +286,11 @@ pub struct SolveOptions {
     /// solvable problem fail. A seed whose dimension does not match the
     /// phase dimension is ignored.
     pub initial_g: Option<Matrix>,
-    /// Optional wall-clock deadline for the `G` stages, checked at the
-    /// amortized [`CHECK_STRIDE`]; expiry yields
-    /// [`QbdError::DeadlineExceeded`]. `None` (the default) disables
-    /// the check.
-    pub deadline: Option<Instant>,
-    /// Optional cooperative cancellation token, checked alongside the
-    /// deadline; a tripped token yields [`QbdError::Cancelled`].
-    pub cancel: Option<CancelToken>,
+    /// Interruption of the `G` stages, probed at the amortized check
+    /// stride: cancellation yields [`QbdError::Cancelled`], an
+    /// expired deadline [`QbdError::DeadlineExceeded`]. The default
+    /// never fires. Options reused across solves share its deadline.
+    pub stop: Stop,
 }
 
 impl Default for SolveOptions {
@@ -333,8 +300,7 @@ impl Default for SolveOptions {
             max_iterations: 200,
             hardening: Hardening::default(),
             initial_g: None,
-            deadline: None,
-            cancel: None,
+            stop: Stop::default(),
         }
     }
 }
@@ -378,17 +344,10 @@ impl SolveOptions {
         self
     }
 
-    /// The same options with a wall-clock deadline for the `G` stages.
+    /// The same options with the given [`Stop`] for the `G` stages.
     #[must_use]
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// The same options with a cooperative cancellation token.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
+    pub fn with_stop(mut self, stop: Stop) -> Self {
+        self.stop = stop;
         self
     }
 }
@@ -740,15 +699,14 @@ impl Qbd {
             .g_logred_counted(
                 opts.tolerance,
                 opts.max_iterations,
-                opts.deadline,
-                opts.cancel.as_ref(),
+                &opts.stop,
                 opts.hardening,
             )?
             .0)
     }
 
-    /// Counted logarithmic reduction with NaN/Inf watchdog, optional
-    /// wall-clock deadline, fault-injection hooks (stage key `"logred"`)
+    /// Counted logarithmic reduction with NaN/Inf watchdog, [`Stop`]
+    /// probes, fault-injection hooks (stage key `"logred"`)
     /// and [`Hardening`] mitigations. Backs both [`Qbd::g_matrix`] and
     /// the supervisor.
     ///
@@ -762,8 +720,7 @@ impl Qbd {
         &self,
         tolerance: f64,
         max_iterations: usize,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
+        stop: &Stop,
         hardening: Hardening,
     ) -> Result<(Matrix, usize)> {
         self.shift_gate(hardening)?;
@@ -808,7 +765,9 @@ impl Qbd {
             for it in 0..max_iterations {
                 let checking = checked_iteration(it, max_iterations);
                 if checking {
-                    check_interrupt("logred", it, deadline, cancel)?;
+                    if let Some(why) = stop.probe() {
+                        return Err(QbdError::interrupted(why, "logred", it));
+                    }
                 }
                 // U = H·L + L·H, then t1 ← I − U and factor in place.
                 gemm(1.0, &ws.k1, &ws.k2, 0.0, &mut ws.t1);
@@ -872,8 +831,7 @@ impl Qbd {
             .g_functional_counted(
                 tolerance,
                 max_iterations,
-                None,
-                None,
+                &Stop::default(),
                 Hardening::default(),
                 None,
             )?
@@ -904,8 +862,7 @@ impl Qbd {
         self.g_functional_counted(
             opts.tolerance,
             opts.max_iterations,
-            opts.deadline,
-            opts.cancel.as_ref(),
+            &opts.stop,
             opts.hardening,
             opts.initial_g.as_ref(),
         )
@@ -925,8 +882,7 @@ impl Qbd {
         &self,
         tolerance: f64,
         max_iterations: usize,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
+        stop: &Stop,
         hardening: Hardening,
         initial_g: Option<&Matrix>,
     ) -> Result<(Matrix, usize)> {
@@ -979,7 +935,9 @@ impl Qbd {
             for it in 0..max_iterations {
                 let checking = checked_iteration(it, max_iterations);
                 if checking {
-                    check_interrupt("functional", it, deadline, cancel)?;
+                    if let Some(why) = stop.probe() {
+                        return Err(QbdError::interrupted(why, "functional", it));
+                    }
                 }
                 // next = base + up·G² assembled in t2.
                 gemm(1.0, &ws.x1, &ws.x1, 0.0, &mut ws.t1);
@@ -1031,7 +989,12 @@ impl Qbd {
     /// Same conditions as [`Qbd::g_matrix`].
     pub fn g_matrix_neuts(&self, tolerance: f64, max_iterations: usize) -> Result<Matrix> {
         Ok(self
-            .g_neuts_counted(tolerance, max_iterations, None, None, Hardening::default())?
+            .g_neuts_counted(
+                tolerance,
+                max_iterations,
+                &Stop::default(),
+                Hardening::default(),
+            )?
             .0)
     }
 
@@ -1050,8 +1013,7 @@ impl Qbd {
             .g_neuts_counted(
                 opts.tolerance,
                 opts.max_iterations,
-                opts.deadline,
-                opts.cancel.as_ref(),
+                &opts.stop,
                 opts.hardening,
             )?
             .0)
@@ -1064,8 +1026,7 @@ impl Qbd {
         &self,
         tolerance: f64,
         max_iterations: usize,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
+        stop: &Stop,
         hardening: Hardening,
     ) -> Result<(Matrix, usize)> {
         self.shift_gate(hardening)?;
@@ -1076,7 +1037,9 @@ impl Qbd {
             for it in 0..max_iterations {
                 let checking = checked_iteration(it, max_iterations);
                 if checking {
-                    check_interrupt("neuts", it, deadline, cancel)?;
+                    if let Some(why) = stop.probe() {
+                        return Err(QbdError::interrupted(why, "neuts", it));
+                    }
                 }
                 // t1 ← −(A1 + A0·G), factored in place; next = t2.
                 ws.t1.copy_from(self.a1.dense());
@@ -1206,15 +1169,12 @@ impl Qbd {
             Some(seed) => match self.g_functional_counted(
                 opts.tolerance,
                 opts.max_iterations,
-                opts.deadline,
-                opts.cancel.as_ref(),
+                &opts.stop,
                 opts.hardening,
                 Some(seed),
             ) {
                 Ok(pair) => Some(pair),
-                Err(e @ (QbdError::Cancelled { .. } | QbdError::DeadlineExceeded { .. })) => {
-                    return Err(e)
-                }
+                Err(e) if e.interrupt().is_some() => return Err(e),
                 Err(_) => None,
             },
             None => None,
@@ -1224,8 +1184,7 @@ impl Qbd {
             None => self.g_logred_counted(
                 opts.tolerance,
                 opts.max_iterations,
-                opts.deadline,
-                opts.cancel.as_ref(),
+                &opts.stop,
                 opts.hardening,
             )?,
         };
@@ -1583,11 +1542,11 @@ mod tests {
     #[test]
     fn deadline_in_the_past_aborts_every_strategy() {
         let qbd = mmpp2(1.0);
-        let past = Some(std::time::Instant::now() - std::time::Duration::from_millis(1));
+        let past = &Stop::default().child(std::time::Duration::ZERO);
         for result in [
-            qbd.g_neuts_counted(1e-12, 100, past, None, Hardening::default()),
-            qbd.g_functional_counted(1e-12, 100, past, None, Hardening::default(), None),
-            qbd.g_logred_counted(1e-12, 100, past, None, Hardening::default()),
+            qbd.g_neuts_counted(1e-12, 100, past, Hardening::default()),
+            qbd.g_functional_counted(1e-12, 100, past, Hardening::default(), None),
+            qbd.g_logred_counted(1e-12, 100, past, Hardening::default()),
         ] {
             assert!(matches!(result, Err(QbdError::DeadlineExceeded { .. })));
         }
@@ -1596,13 +1555,13 @@ mod tests {
     #[test]
     fn tripped_token_aborts_every_strategy() {
         let qbd = mmpp2(1.0);
-        let token = performa_ctrl::CancelToken::new();
+        let token = Stop::new();
         token.cancel();
-        let t = Some(&token);
+        let t = &token;
         for result in [
-            qbd.g_neuts_counted(1e-12, 100, None, t, Hardening::default()),
-            qbd.g_functional_counted(1e-12, 100, None, t, Hardening::default(), None),
-            qbd.g_logred_counted(1e-12, 100, None, t, Hardening::default()),
+            qbd.g_neuts_counted(1e-12, 100, t, Hardening::default()),
+            qbd.g_functional_counted(1e-12, 100, t, Hardening::default(), None),
+            qbd.g_logred_counted(1e-12, 100, t, Hardening::default()),
         ] {
             assert!(matches!(result, Err(QbdError::Cancelled { .. })));
         }
@@ -1611,12 +1570,9 @@ mod tests {
     #[test]
     fn cancel_outranks_deadline_when_both_fire() {
         let qbd = mmpp2(1.0);
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let token = performa_ctrl::CancelToken::new();
+        let token = Stop::new();
         token.cancel();
-        let opts = SolveOptions::default()
-            .with_deadline(past)
-            .with_cancel(token);
+        let opts = SolveOptions::default().with_stop(token.child(std::time::Duration::ZERO));
         assert!(matches!(
             qbd.solve_with(opts),
             Err(QbdError::Cancelled { .. })

@@ -15,7 +15,8 @@
 //!   [`SolveWarning::ToleranceRelaxed`], never silent — when no stage
 //!   meets the requested tolerance,
 //! * stochasticity-drift renormalization of `G` between stages,
-//! * an optional wall-clock deadline ([`QbdError::DeadlineExceeded`]),
+//! * cooperative interruption through a [`Stop`]
+//!   ([`QbdError::Cancelled`], [`QbdError::DeadlineExceeded`]),
 //! * condition-number surveillance of the `R` and boundary linear systems
 //!   ([`SolveWarning::IllConditioned`], fed by the LU condition
 //!   estimator in `performa-linalg`).
@@ -30,7 +31,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use performa_ctrl::CancelToken;
+use performa_ctrl::{Interrupt, Stop};
 use performa_linalg::Matrix;
 
 use crate::qbd::{all_finite, Hardening, Qbd};
@@ -145,14 +146,14 @@ pub struct SupervisorOptions {
     /// Largest stochasticity drift of `G` that is repaired by
     /// renormalization; beyond it the stage is declared failed.
     pub renormalization_cap: f64,
-    /// Optional wall-clock budget for the whole solve.
-    pub deadline: Option<Duration>,
-    /// Optional cooperative cancellation token, checked between stages
-    /// and inside every counted iteration loop (at the amortized check
-    /// stride). A tripped token aborts the solve with
-    /// [`QbdError::Cancelled`] — unlike a deadline it says nothing
-    /// about the point's difficulty, so it is never retried.
-    pub cancel: Option<CancelToken>,
+    /// Interruption of the whole solve, probed between stages and
+    /// inside every counted iteration loop (at the amortized check
+    /// stride). An expired deadline aborts with
+    /// [`QbdError::DeadlineExceeded`]; cancellation aborts with
+    /// [`QbdError::Cancelled`] — unlike a deadline it says nothing about
+    /// the point's difficulty, so it is never retried. The default never
+    /// fires.
+    pub stop: Stop,
     /// Baseline numerical hardening for every stage. Independent of
     /// this setting the supervisor escalates to [`Hardening::full`] —
     /// always reported via [`SolveWarning::Hardened`] — when the drift
@@ -184,8 +185,7 @@ impl Default for SupervisorOptions {
             saturation_margin: 0.02,
             condition_threshold: 1e12,
             renormalization_cap: 1e-2,
-            deadline: None,
-            cancel: None,
+            stop: Stop::default(),
             hardening: Hardening::default(),
         }
     }
@@ -213,15 +213,9 @@ impl SupervisorOptions {
         self
     }
 
-    /// Sets the wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the cooperative cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
+    /// Sets the [`Stop`] that interrupts the solve.
+    pub fn with_stop(mut self, stop: Stop) -> Self {
+        self.stop = stop;
         self
     }
 
@@ -648,8 +642,8 @@ impl SolverSupervisor {
     /// * [`QbdError::Unstable`] — no stationary distribution exists.
     /// * [`QbdError::NoConvergence`] — every stage at every tolerance
     ///   level failed.
-    /// * [`QbdError::DeadlineExceeded`] — the wall-clock budget expired
-    ///   first.
+    /// * [`QbdError::Cancelled`] / [`QbdError::DeadlineExceeded`] — the
+    ///   options' [`Stop`] fired first.
     /// * [`QbdError::InvalidParameter`] — malformed options.
     /// * [`QbdError::Linalg`] / [`QbdError::NumericalBreakdown`] — from
     ///   the boundary stage (G-stage breakdowns trigger fallback
@@ -666,7 +660,6 @@ impl SolverSupervisor {
             ],
         );
         let start = Instant::now();
-        let deadline = self.options.deadline.map(|d| start + d);
 
         let (up, down) = self.qbd.drift()?;
         if up >= down {
@@ -708,20 +701,14 @@ impl SolverSupervisor {
         let mut attempts: Vec<StageAttempt> = Vec::new();
         let mut accepted: Option<(Matrix, GStrategy, usize, f64, f64)> = None;
         let mut best_residual = f64::INFINITY;
-        let mut deadline_hit = false;
-        let mut cancel_hit = false;
-        let cancel = self.options.cancel.as_ref();
+        let mut interrupt: Option<Interrupt> = None;
 
         let mut accepted_hardening = base_hardening;
         'levels: for level in 0..=self.options.max_relaxations {
             let tol = self.options.tolerance * self.options.relaxation_factor.powi(level as i32);
             'stages: for stage in &self.options.chain {
-                if cancel.is_some_and(|t| t.is_cancelled()) {
-                    cancel_hit = true;
-                    break 'levels;
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    deadline_hit = true;
+                interrupt = self.options.stop.probe();
+                if interrupt.is_some() {
                     break 'levels;
                 }
                 // The recovery ladder within one stage: a first run at
@@ -743,7 +730,7 @@ impl SolverSupervisor {
                     // stage trips a watchdog or falls back, the last K
                     // iteration records are dumped as qbd.flight events.
                     performa_obs::flight::begin(stage.strategy.key(), hardening.any());
-                    let outcome = self.run_stage(*stage, tol, deadline, cancel, hardening);
+                    let outcome = self.run_stage(*stage, tol, hardening);
                     match outcome {
                         Ok((mut g, iters)) => {
                             let drift = renormalize_g(&mut g);
@@ -773,7 +760,7 @@ impl SolverSupervisor {
                             if drift > tol * 10.0 {
                                 warn(&mut warnings, SolveWarning::Renormalized { drift });
                             }
-                            let residual = g_residual(&self.qbd, &g);
+                            let residual = self.qbd.g_residual(&g);
                             best_residual = best_residual.min(residual);
                             if residual <= tol * scale {
                                 performa_obs::event(
@@ -819,51 +806,41 @@ impl SolverSupervisor {
                             performa_obs::flight::dump("stage_failed");
                             continue 'stages;
                         }
-                        Err(QbdError::DeadlineExceeded { iterations, .. }) => {
-                            performa_obs::event(
-                                performa_obs::TraceLevel::Warn,
-                                "qbd.deadline",
-                                vec![
-                                    ("strategy", stage.strategy.key().into()),
-                                    ("iterations", iterations.into()),
-                                ],
-                            );
-                            attempts.push(StageAttempt {
-                                strategy: stage.strategy,
-                                tolerance: tol,
-                                iterations,
-                                hardened: hardening.any(),
-                                converged: false,
-                                outcome: StageOutcome::DeadlineExceeded,
-                            });
-                            deadline_hit = true;
-                            break 'levels;
-                        }
-                        Err(QbdError::Cancelled { iterations, .. }) => {
-                            performa_obs::event(
-                                performa_obs::TraceLevel::Warn,
-                                "qbd.cancelled",
-                                vec![
-                                    ("strategy", stage.strategy.key().into()),
-                                    ("iterations", iterations.into()),
-                                ],
-                            );
-                            attempts.push(StageAttempt {
-                                strategy: stage.strategy,
-                                tolerance: tol,
-                                iterations,
-                                hardened: hardening.any(),
-                                converged: false,
-                                outcome: StageOutcome::Cancelled,
-                            });
-                            // Preserve the abandoned attempt's tail for
-                            // the post-mortem before the drain discards
-                            // this point.
-                            performa_obs::flight::dump("cancelled");
-                            cancel_hit = true;
-                            break 'levels;
-                        }
                         Err(e) => {
+                            if let Some((why, iterations)) = e.interrupt() {
+                                let (event, outcome) = match why {
+                                    Interrupt::Cancelled => {
+                                        ("qbd.cancelled", StageOutcome::Cancelled)
+                                    }
+                                    Interrupt::DeadlineExceeded => {
+                                        ("qbd.deadline", StageOutcome::DeadlineExceeded)
+                                    }
+                                };
+                                performa_obs::event(
+                                    performa_obs::TraceLevel::Warn,
+                                    event,
+                                    vec![
+                                        ("strategy", stage.strategy.key().into()),
+                                        ("iterations", iterations.into()),
+                                    ],
+                                );
+                                attempts.push(StageAttempt {
+                                    strategy: stage.strategy,
+                                    tolerance: tol,
+                                    iterations,
+                                    hardened: hardening.any(),
+                                    converged: false,
+                                    outcome,
+                                });
+                                if why == Interrupt::Cancelled {
+                                    // Preserve the abandoned attempt's tail
+                                    // for the post-mortem before the drain
+                                    // discards this point.
+                                    performa_obs::flight::dump("cancelled");
+                                }
+                                interrupt = Some(why);
+                                break 'levels;
+                            }
                             let iterations = match e {
                                 QbdError::NoConvergence { iterations, .. } => iterations,
                                 QbdError::NumericalBreakdown { iteration, .. } => iteration,
@@ -911,22 +888,13 @@ impl SolverSupervisor {
 
         let total_iterations: usize = attempts.iter().map(|a| a.iterations).sum();
         let Some((g, strategy, iterations, residual, tol_used)) = accepted else {
-            return Err(if cancel_hit {
-                QbdError::Cancelled {
-                    stage: "solver supervisor",
-                    iterations: total_iterations,
-                }
-            } else if deadline_hit {
-                QbdError::DeadlineExceeded {
-                    stage: "solver supervisor",
-                    iterations: total_iterations,
-                }
-            } else {
-                QbdError::NoConvergence {
+            return Err(match interrupt {
+                Some(why) => QbdError::interrupted(why, "solver supervisor", total_iterations),
+                None => QbdError::NoConvergence {
                     stage: "solver supervisor",
                     iterations: total_iterations,
                     residual: best_residual,
-                }
+                },
             });
         };
         if tol_used > self.options.tolerance {
@@ -1015,34 +983,19 @@ impl SolverSupervisor {
         &self,
         stage: StageBudget,
         tolerance: f64,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
         hardening: Hardening,
     ) -> Result<(Matrix, usize)> {
+        let (qbd, budget, stop) = (&self.qbd, stage.max_iterations, &self.options.stop);
         match stage.strategy {
-            GStrategy::NeutsSubstitution => {
-                self.qbd
-                    .g_neuts_counted(tolerance, stage.max_iterations, deadline, cancel, hardening)
+            GStrategy::NeutsSubstitution => qbd.g_neuts_counted(tolerance, budget, stop, hardening),
+            GStrategy::FunctionalIteration => {
+                qbd.g_functional_counted(tolerance, budget, stop, hardening, None)
             }
-            GStrategy::FunctionalIteration => self.qbd.g_functional_counted(
-                tolerance,
-                stage.max_iterations,
-                deadline,
-                cancel,
-                hardening,
-                None,
-            ),
             GStrategy::LogarithmicReduction => {
-                self.qbd
-                    .g_logred_counted(tolerance, stage.max_iterations, deadline, cancel, hardening)
+                qbd.g_logred_counted(tolerance, budget, stop, hardening)
             }
         }
     }
-}
-
-/// True residual of the G fixed-point equation.
-fn g_residual(qbd: &Qbd, g: &Matrix) -> f64 {
-    qbd.g_residual(g)
 }
 
 /// Clamps negative entries to zero and rescales each row of `G` to sum
@@ -1194,7 +1147,7 @@ mod tests {
     #[test]
     fn immediate_deadline_yields_deadline_error() {
         let qbd = mmpp2(1.0);
-        let options = SupervisorOptions::default().with_deadline(Duration::ZERO);
+        let options = SupervisorOptions::default().with_stop(Stop::default().child(Duration::ZERO));
         assert!(matches!(
             SolverSupervisor::with_options(qbd, options).solve(),
             Err(QbdError::DeadlineExceeded { .. })
@@ -1204,9 +1157,9 @@ mod tests {
     #[test]
     fn tripped_token_yields_cancelled_error() {
         let qbd = mmpp2(1.0);
-        let token = CancelToken::new();
+        let token = Stop::new();
         token.cancel();
-        let options = SupervisorOptions::default().with_cancel(token);
+        let options = SupervisorOptions::default().with_stop(token);
         assert!(matches!(
             SolverSupervisor::with_options(qbd, options).solve(),
             Err(QbdError::Cancelled { .. })
@@ -1218,11 +1171,9 @@ mod tests {
         // Both interrupts armed: the typed outcome must say "told to
         // stop", not "point too expensive".
         let qbd = mmpp2(1.0);
-        let token = CancelToken::new();
+        let token = Stop::new();
         token.cancel();
-        let options = SupervisorOptions::default()
-            .with_deadline(Duration::ZERO)
-            .with_cancel(token);
+        let options = SupervisorOptions::default().with_stop(token.child(Duration::ZERO));
         assert!(matches!(
             SolverSupervisor::with_options(qbd, options).solve(),
             Err(QbdError::Cancelled { .. })

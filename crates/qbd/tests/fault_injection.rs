@@ -9,6 +9,7 @@
 
 use std::time::Duration;
 
+use performa_ctrl::Stop;
 use performa_linalg::{Matrix, Vector};
 use performa_qbd::{
     fault, GStrategy, Qbd, QbdError, SolveWarning, SolverSupervisor, StageBudget,
@@ -122,7 +123,7 @@ fn injected_stall_under_deadline_returns_typed_deadline_error() {
     });
     let options = SupervisorOptions {
         chain: vec![StageBudget::new(GStrategy::NeutsSubstitution, usize::MAX)],
-        deadline: Some(Duration::from_millis(50)),
+        stop: Stop::default().child(Duration::from_millis(50)),
         ..SupervisorOptions::default()
     };
     let err = SolverSupervisor::with_options(mmpp2(1.0), options)

@@ -14,9 +14,10 @@
 //! * **bounded reseed-and-retry** — each replication gets
 //!   `1 + max_retries` attempts, deterministically reseeded
 //!   (`seed = base + i + stride·attempt`);
-//! * **wall-clock deadline** — when the budget expires the runner stops
-//!   handing out work and returns the replications completed so far,
-//!   flagged via [`ReplicationOutcome::deadline_hit`];
+//! * **cooperative interruption** — when the options' [`Stop`] fires
+//!   (deadline or cancellation) the runner stops handing out work and
+//!   returns the replications completed so far, flagged via
+//!   [`ReplicationOutcome::deadline_hit`] / [`ReplicationOutcome::cancelled`];
 //! * **fault injection** (behind the `fault-injection` feature) — a
 //!   [`FaultPlan`] deterministically injects panics, NaN outputs and
 //!   stalls to prove the above machinery works.
@@ -26,10 +27,9 @@
 //! never panic on user input.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use performa_ctrl::CancelToken;
+use performa_ctrl::{Interrupt, Stop};
 
 use crate::stats::{confidence_interval, ConfidenceInterval};
 use crate::{Result, SimError};
@@ -45,16 +45,14 @@ pub struct ReplicationOptions {
     pub threads: usize,
     /// Extra attempts granted to a failing replication (0 = fail fast).
     pub max_retries: u32,
-    /// Wall-clock budget for the whole sweep; on expiry the runner
-    /// returns whatever completed.
-    pub deadline: Option<Duration>,
     /// Offset added to a replication's seed per retry attempt.
     pub reseed_stride: u64,
-    /// Optional cooperative cancellation token, checked at the same
-    /// amortized stride as the deadline; on a tripped token the runner
-    /// stops handing out work and returns whatever completed, flagged
-    /// via [`ReplicationOutcome::cancelled`].
-    pub cancel: Option<CancelToken>,
+    /// Interruption of the whole sweep, probed once per replication
+    /// attempt. When it fires the runner stops handing out work and
+    /// returns whatever completed, flagged via
+    /// [`ReplicationOutcome::deadline_hit`] or
+    /// [`ReplicationOutcome::cancelled`]. The default never fires.
+    pub stop: Stop,
 }
 
 impl Default for ReplicationOptions {
@@ -62,9 +60,8 @@ impl Default for ReplicationOptions {
         ReplicationOptions {
             threads: 1,
             max_retries: 2,
-            deadline: None,
             reseed_stride: DEFAULT_RESEED_STRIDE,
-            cancel: None,
+            stop: Stop::default(),
         }
     }
 }
@@ -78,21 +75,15 @@ impl ReplicationOptions {
         }
     }
 
-    /// Sets the wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Sets the retry budget.
     pub fn with_max_retries(mut self, max_retries: u32) -> Self {
         self.max_retries = max_retries;
         self
     }
 
-    /// Sets the cooperative cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
+    /// Sets the [`Stop`] that interrupts the sweep.
+    pub fn with_stop(mut self, stop: Stop) -> Self {
+        self.stop = stop;
         self
     }
 }
@@ -124,7 +115,7 @@ pub struct ReplicationOutcome {
     pub retried: u64,
     /// Replications dropped after exhausting their retries.
     pub failures: Vec<ReplicationFailure>,
-    /// Replications never attempted because the deadline expired first.
+    /// Replications never attempted because the stop fired first.
     pub skipped: u64,
     /// Whether the wall-clock deadline cut the sweep short.
     pub deadline_hit: bool,
@@ -166,107 +157,6 @@ enum Slot {
     Pending,
     Done(f64),
     Failed(ReplicationFailure),
-}
-
-/// Largest number of probes between wall-clock reads.
-const MAX_DEADLINE_STRIDE: u64 = 256;
-
-/// Once less than this remains, the stride collapses back to 1 so expiry
-/// is detected within one unit of work.
-const DEADLINE_SLACK: Duration = Duration::from_millis(5);
-
-/// Amortised wall-clock deadline shared across worker threads.
-///
-/// Callers [`probe`](StridedDeadline::probe) on every unit of work, but
-/// the clock is only read on every `stride`-th probe. The stride adapts:
-/// it doubles after each clock read that finds the deadline comfortably
-/// far (up to [`MAX_DEADLINE_STRIDE`]) and collapses to 1 inside the
-/// final [`DEADLINE_SLACK`], so long sweeps pay ~`log₂(stride)` clock
-/// reads per stride-doubling while short budgets are still honoured
-/// promptly. Each stride adaptation is recorded on the
-/// `sim.deadline.stride` gauge; the expiry transition emits one
-/// `sim.deadline` warning event.
-struct StridedDeadline {
-    deadline: Option<Instant>,
-    /// Optional cooperative cancellation token, checked on every probe
-    /// (a relaxed atomic load — cheaper than the amortized clock read,
-    /// so it needs no stride of its own).
-    cancel: Option<CancelToken>,
-    /// Probes remaining until the next clock read.
-    countdown: AtomicI64,
-    /// Current probes-per-clock-read stride.
-    stride: AtomicU64,
-    expired: AtomicBool,
-    cancelled: AtomicBool,
-}
-
-impl StridedDeadline {
-    fn new(deadline: Option<Instant>, cancel: Option<CancelToken>) -> Self {
-        if deadline.is_some() {
-            performa_obs::gauge_set("sim.deadline.stride", 1.0);
-        }
-        StridedDeadline {
-            deadline,
-            cancel,
-            countdown: AtomicI64::new(1),
-            stride: AtomicU64::new(1),
-            expired: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-        }
-    }
-
-    /// Whether a probe has observed a tripped cancellation token.
-    fn was_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// `true` once the wall-clock deadline has passed or the token
-    /// tripped; cancellation is checked first so a Ctrl-C is honoured
-    /// even under a comfortable deadline stride.
-    fn probe(&self) -> bool {
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            if !self.cancelled.swap(true, Ordering::Relaxed) {
-                performa_obs::event(performa_obs::TraceLevel::Warn, "sim.cancelled", vec![]);
-            }
-            return true;
-        }
-        let Some(deadline) = self.deadline else {
-            return false;
-        };
-        if self.expired.load(Ordering::Relaxed) {
-            return true;
-        }
-        // Burn a probe; only the thread that drains the countdown pays
-        // for a clock read (concurrent drains just read the clock twice,
-        // which is correct, merely redundant).
-        if self.countdown.fetch_sub(1, Ordering::Relaxed) > 1 {
-            return false;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            if !self.expired.swap(true, Ordering::Relaxed) {
-                let stride = self.stride.load(Ordering::Relaxed);
-                performa_obs::event(
-                    performa_obs::TraceLevel::Warn,
-                    "sim.deadline",
-                    vec![("stride", stride.into())],
-                );
-            }
-            return true;
-        }
-        let stride = self.stride.load(Ordering::Relaxed);
-        let next = if deadline - now < DEADLINE_SLACK {
-            1
-        } else {
-            (stride * 2).min(MAX_DEADLINE_STRIDE)
-        };
-        if next != stride {
-            self.stride.store(next, Ordering::Relaxed);
-            performa_obs::gauge_set("sim.deadline.stride", next as f64);
-        }
-        self.countdown.store(next as i64, Ordering::Relaxed);
-        false
-    }
 }
 
 /// Warn-level event for a failed attempt (panic or non-finite value) —
@@ -314,25 +204,29 @@ where
             message: "need at least one replication".into(),
         });
     }
-    let deadline = StridedDeadline::new(
-        options.deadline.map(|d| Instant::now() + d),
-        options.cancel.clone(),
-    );
     let threads = options.threads.max(1).min(replications as usize);
 
     let next = AtomicU64::new(0);
     let retried = AtomicU64::new(0);
     let deadline_hit = AtomicBool::new(false);
+    let cancelled = AtomicBool::new(false);
+    // Records a fired stop; the first observation of each kind emits its
+    // one warning event.
+    let interrupted = |why: Interrupt| {
+        let (flag, event) = match why {
+            Interrupt::Cancelled => (&cancelled, "sim.cancelled"),
+            Interrupt::DeadlineExceeded => (&deadline_hit, "sim.deadline"),
+        };
+        if !flag.swap(true, Ordering::Relaxed) {
+            performa_obs::event(performa_obs::TraceLevel::Warn, event, vec![]);
+        }
+    };
     let mut results = vec![Slot::Pending; replications as usize];
     let slots = parking_lot::Mutex::new(&mut results);
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                if deadline.probe() {
-                    deadline_hit.store(true, Ordering::Relaxed);
-                    break;
-                }
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= replications {
                     break;
@@ -344,8 +238,8 @@ where
                 let mut last_reason = String::new();
                 let mut success = None;
                 for attempt in 0..=options.max_retries {
-                    if deadline.probe() {
-                        deadline_hit.store(true, Ordering::Relaxed);
+                    if let Some(why) = options.stop.probe() {
+                        interrupted(why);
                         break;
                     }
                     let seed = base_seed
@@ -383,9 +277,10 @@ where
                 }
                 let slot = match success {
                     Some(v) => Slot::Done(v),
-                    // No attempt even started: the deadline expired first;
-                    // leave the slot pending so it counts as skipped.
-                    None if attempts == 0 => continue,
+                    // No attempt even started: the stop fired first. Leave
+                    // this and every unissued slot pending, so they count
+                    // as skipped, and retire the worker.
+                    None if attempts == 0 => break,
                     None => {
                         performa_obs::event(
                             performa_obs::TraceLevel::Warn,
@@ -422,9 +317,9 @@ where
         });
     }
     let completed = values.len() as u64;
-    // A probe that observed the token reports "cancelled", not
+    // A probe that observed cancellation reports "cancelled", not
     // "deadline hit" — the stop was commanded, not earned.
-    let cancelled = deadline.was_cancelled();
+    let cancelled = cancelled.load(Ordering::Relaxed);
     Ok(ReplicationOutcome {
         values,
         requested: replications,
@@ -439,7 +334,7 @@ where
 
 /// Runs `replications` independent evaluations of `run` (seeded
 /// `base_seed, base_seed+1, …`) with panic isolation, bounded
-/// reseed-and-retry and an optional wall-clock deadline, returning
+/// reseed-and-retry and cooperative interruption, returning
 /// whatever completed.
 ///
 /// `run` must be deterministic in its seed for reproducibility.
@@ -564,7 +459,7 @@ pub struct FaultPlan {
     /// path).
     pub stall_on: Vec<u64>,
     /// Stall duration.
-    pub stall: Duration,
+    pub stall: std::time::Duration,
     /// How many leading attempts of a faulted replication fail
     /// (`u32::MAX` = all of them). Defaults to 1.
     pub fault_attempts: u32,
@@ -618,6 +513,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn seeds_are_sequential_and_ordered() {
@@ -736,7 +632,7 @@ mod tests {
         // Each replication sleeps 20 ms; the 60 ms budget admits only a
         // few of the 50 requested.
         let options = ReplicationOptions::with_threads(1)
-            .with_deadline(Duration::from_millis(60));
+            .with_stop(Stop::default().child(Duration::from_millis(60)));
         let outcome = run_replications_robust(50, 0, &options, |seed| {
             std::thread::sleep(Duration::from_millis(20));
             seed as f64
@@ -749,7 +645,9 @@ mod tests {
         assert!(outcome.degraded());
         assert_eq!(outcome.completed + outcome.skipped, 50);
 
-        // The CI over the partial results is still well-formed.
+        // The CI over the partial results is still well-formed. The
+        // first run spent the deadline, so this one gets a fresh budget.
+        let options = options.with_stop(Stop::default().child(Duration::from_millis(60)));
         let (ci, outcome) = replicated_ci_robust(50, 0, &options, |seed| {
             std::thread::sleep(Duration::from_millis(20));
             seed as f64
@@ -763,8 +661,8 @@ mod tests {
     fn cancellation_returns_partial_results_with_cancelled_flag() {
         // The token trips from inside replication 5; the runner finishes
         // that unit of work, then stops handing out replications.
-        let token = CancelToken::new();
-        let options = ReplicationOptions::with_threads(1).with_cancel(token.clone());
+        let token = Stop::new();
+        let options = ReplicationOptions::with_threads(1).with_stop(token.clone());
         let outcome = run_replications_robust(50, 0, &options, |seed| {
             if seed == 5 {
                 token.cancel();
@@ -786,10 +684,9 @@ mod tests {
         // Token pre-tripped AND a generous deadline: the outcome must
         // report cancelled, not deadline_hit — but only after at least
         // one value exists, so trip the token from replication 0.
-        let token = CancelToken::new();
-        let options = ReplicationOptions::with_threads(1)
-            .with_deadline(Duration::from_secs(3600))
-            .with_cancel(token.clone());
+        let token = Stop::new();
+        let options =
+            ReplicationOptions::with_threads(1).with_stop(token.child(Duration::from_secs(3600)));
         let outcome = run_replications_robust(50, 0, &options, |seed| {
             token.cancel();
             seed as f64
@@ -801,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn strided_deadline_adapts_and_reports() {
+    fn deadline_expiry_is_reported_once() {
         // Serialize against other tests touching the global recorder.
         let _guard = performa_obs::test_lock();
         performa_obs::set_metrics(true);
@@ -810,8 +707,8 @@ mod tests {
         let id = performa_obs::add_sink(sink.clone());
         performa_obs::set_level(performa_obs::TraceLevel::Warn);
 
-        let options =
-            ReplicationOptions::with_threads(1).with_deadline(Duration::from_millis(30));
+        let options = ReplicationOptions::with_threads(1)
+            .with_stop(Stop::default().child(Duration::from_millis(30)));
         let outcome = run_replications_robust(1_000, 0, &options, |seed| {
             std::thread::sleep(Duration::from_millis(1));
             seed as f64
@@ -820,10 +717,7 @@ mod tests {
 
         assert!(outcome.deadline_hit);
         assert!(outcome.completed >= 1);
-        // The chosen stride is visible as a gauge, and the expiry
-        // transition emitted exactly one warning event.
-        let snap = performa_obs::metrics_snapshot();
-        assert!(snap.gauges.contains_key("sim.deadline.stride"));
+        // The expiry transition emitted exactly one warning event.
         let deadline_events = sink
             .event_names()
             .iter()

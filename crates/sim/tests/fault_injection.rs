@@ -8,6 +8,7 @@
 
 use std::time::Duration;
 
+use performa_ctrl::Stop;
 use performa_sim::replicate::{
     run_replications_with_faults, FaultPlan, ReplicationOptions,
 };
@@ -74,7 +75,7 @@ fn injected_stall_hits_the_deadline_and_returns_partial_results() {
         ..FaultPlan::default()
     };
     let options = ReplicationOptions::with_threads(1)
-        .with_deadline(Duration::from_millis(70));
+        .with_stop(Stop::default().child(Duration::from_millis(70)));
     let outcome =
         run_replications_with_faults(40, 0, &options, &plan, |seed| seed as f64).unwrap();
 
@@ -95,7 +96,7 @@ fn stalled_everything_under_deadline_is_a_typed_error() {
         ..FaultPlan::default()
     };
     let options = ReplicationOptions::with_threads(1)
-        .with_deadline(Duration::from_millis(40))
+        .with_stop(Stop::default().child(Duration::from_millis(40)))
         .with_max_retries(0);
     let err = run_replications_with_faults(2, 0, &options, &plan, |seed| seed as f64)
         .unwrap_err();
