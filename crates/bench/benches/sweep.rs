@@ -59,11 +59,7 @@ fn bench_sweep(c: &mut Criterion) {
         b.iter(|| {
             let res = Scenario::new(model.clone(), Axis::Rho(grid.clone()))
                 .compile()
-                .with_options(SweepOptions {
-                    threads: 4,
-                    warm_start: true,
-                    ..SweepOptions::default()
-                })
+                .with_options(SweepOptions::default().with_threads(4).with_warm_start(true))
                 .run_map(|sol| sol.normalized_mean_queue_length());
             black_box(res.expect_values("stable").iter().sum::<f64>())
         })

@@ -41,6 +41,7 @@ performa — performability models for multi-server systems
 
 USAGE:
   performa <COMMAND> [--key value ...]
+  (an option that no command reads is a usage error, exit 2)
 
 COMMANDS:
   solve        exact analytic solution of one configuration
@@ -67,6 +68,8 @@ SOLVE OPTIONS:    --tail K (report Pr(Q >= K))   --delay-bound D (report Pr(S > 
                   --threads N (kernel threads for this solve; 0 = all cores,
                   bitwise identical to serial)
 SWEEP OPTIONS:    --param rho|lambda|delta|availability  --from F --to T --steps N
+                  (delta and availability hold the base model's arrival
+                  rate fixed: --lambda, or --rho times the base capacity)
                   --metric mean|normalized|tail:K  --threads N (0 = all cores)
                   --kernel-threads N (in-solve linear-algebra threads;
                   0 = all cores; results identical at any count)
@@ -131,8 +134,6 @@ OBSERVABILITY OPTIONS (all commands):
                          (implies debug verbosity unless --trace-level is set)
   --profile              print a timing/metrics summary table on stderr
                          after the run
-  --metrics-out PATH     write the final metrics snapshot in Prometheus
-                         text exposition format to PATH after the run
 
 EXIT CODES:
   0   exact result
@@ -263,9 +264,32 @@ pub struct Args {
 /// Options that are bare flags (no value token follows them).
 const BOOL_FLAGS: &[&str] = &["profile", "resume", "retry-failed"];
 
+/// Every option some command reads. [`Args::parse`] rejects any other
+/// key, so a misspelt option is a usage error instead of a silently
+/// applied default.
+#[rustfmt::skip]
+const KNOWN_OPTIONS: &[&str] = &[
+    // model
+    "servers", "peak-rate", "delta", "up", "down", "rho", "lambda",
+    // solve, blowup
+    "tail", "delay-bound", "threads", "alpha",
+    // resilience
+    "deadline", "max-iter", "fallback", "hardening", "tolerance",
+    // sweep
+    "param", "from", "to", "steps", "metric", "kernel-threads", "store", "resume", "shard",
+    "retry-failed",
+    // simulate
+    "task", "strategy", "cycles", "reps", "seed", "warmup", "resume-penalty", "detection-delay",
+    // store and obs verbs
+    "out", "in", "trace", "a", "b", "history", "top", "threshold",
+    // observability
+    "trace-level", "trace-json", "profile",
+];
+
 impl Args {
-    /// Parses `--key value` pairs; rejects dangling keys and stray
-    /// positional words. Flags listed in [`BOOL_FLAGS`] take no value.
+    /// Parses `--key value` pairs; rejects unknown keys, dangling keys
+    /// and stray positional words. Flags listed in [`BOOL_FLAGS`] take
+    /// no value.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self> {
         let mut map = HashMap::new();
         let mut it = raw.into_iter().peekable();
@@ -273,6 +297,11 @@ impl Args {
             let key = tok
                 .strip_prefix("--")
                 .ok_or_else(|| CliError::usage(format!("expected --option, got `{tok}`")))?;
+            if !KNOWN_OPTIONS.contains(&key) {
+                return Err(CliError::usage(format!(
+                    "unknown option --{key} (see `performa help`)"
+                )));
+            }
             if BOOL_FLAGS.contains(&key) {
                 map.insert(key.to_string(), "true".to_string());
                 continue;
@@ -318,7 +347,6 @@ pub struct ObsSession {
     /// The `--trace-json` sink (path, handle), retained so `finish` can
     /// check its drop counters after the flush.
     json: Option<(String, std::sync::Arc<performa_obs::NdjsonSink>)>,
-    metrics_out: Option<PathBuf>,
 }
 
 /// Configures the global recorder from `--trace-level`, `--trace-json`
@@ -339,12 +367,7 @@ pub struct ObsSession {
 pub fn init_obs(args: &Args) -> Result<ObsSession> {
     let mut sinks = Vec::new();
     let profile = args.has("profile");
-    let metrics_out = if args.has("metrics-out") {
-        Some(PathBuf::from(args.get_str("metrics-out", "metrics.prom")))
-    } else {
-        None
-    };
-    if profile || metrics_out.is_some() {
+    if profile {
         performa_obs::reset_metrics();
         performa_obs::set_metrics(true);
     }
@@ -380,7 +403,6 @@ pub fn init_obs(args: &Args) -> Result<ObsSession> {
         sinks,
         profile,
         json,
-        metrics_out,
     })
 }
 
@@ -397,14 +419,6 @@ impl ObsSession {
         if self.profile {
             let table = performa_obs::metrics_snapshot().profile_table();
             write!(err, "{table}").map_err(|e| CliError::failed(format!("output error: {e}")))?;
-        }
-        if let Some(path) = &self.metrics_out {
-            let text = performa_obs::expose::render(&performa_obs::metrics_snapshot());
-            std::fs::write(path, text).map_err(|e| {
-                CliError::failed(format!("cannot write --metrics-out `{}`: {e}", path.display()))
-            })?;
-        }
-        if self.profile || self.metrics_out.is_some() {
             performa_obs::set_metrics(false);
             performa_obs::reset_metrics();
         }
@@ -643,8 +657,21 @@ pub fn run<W: std::io::Write>(command: &str, args: &Args, out: &mut W) -> Result
             if steps == 0 || from >= to {
                 return Err(CliError::usage("need --from < --to and --steps > 0"));
             }
-            let metric = args.get_str("metric", "normalized");
-            let mut plan = sweep_plan(args, &param, from, to, steps)?;
+            let metric_spec = args.get_str("metric", "normalized");
+            let metric = Metric::parse(&metric_spec)?;
+            let grid = SweepPlan::grid(from, to, steps).into_values();
+            let axis = match param.as_str() {
+                "rho" => Axis::Rho(grid),
+                "lambda" => Axis::Lambda(grid),
+                "delta" => Axis::Delta(grid),
+                "availability" => Axis::Availability(grid),
+                other => {
+                    return Err(CliError::usage(format!(
+                        "unknown sweep parameter `{other}` (rho|lambda|delta|availability)"
+                    )))
+                }
+            };
+            let mut plan = Scenario::new(build_model(args)?, axis).compile();
             if args.has("shard") {
                 let (i, n) = parse_shard(&args.get_str("shard", ""))?;
                 plan = plan.shard(i, n);
@@ -675,14 +702,11 @@ pub fn run<W: std::io::Write>(command: &str, args: &Args, out: &mut W) -> Result
                     "--resume and --retry-failed need --store PATH",
                 ));
             }
-            writeln!(out, "{param},{metric}").map_err(io)?;
-            let result = plan
-                .with_options(opts)
-                .run_map(|sol| metric_value(sol, &metric));
+            writeln!(out, "{param},{metric_spec}").map_err(io)?;
+            let result = plan.with_options(opts).run_map(|sol| metric.read(sol));
             for point in result.points() {
                 let value = match &point.outcome {
-                    Ok(Ok(v)) => *v,
-                    Ok(Err(e)) => return Err(CliError::failed(e.to_string())),
+                    Ok(v) => *v,
                     // Cancelled points were never solved: omit their rows
                     // (a resumed run fills the gap) instead of printing
                     // NaN, which marks *solver* failures.
@@ -874,95 +898,6 @@ pub fn run<W: std::io::Write>(command: &str, args: &Args, out: &mut W) -> Result
     }
 }
 
-/// Compiles the `sweep` subcommand's plan. The axes that only move the
-/// arrival rate (`rho`, `lambda`) go through a [`Scenario`] so every
-/// point shares one cached modulator; the axes that rebuild the model
-/// (`delta`, `availability`) compile point-by-point through
-/// [`SweepPlan::from_builder`] over [`model_at`].
-fn sweep_plan(args: &Args, param: &str, from: f64, to: f64, steps: usize) -> Result<SweepPlan> {
-    let grid = SweepPlan::grid(from, to, steps).into_values();
-    let from_model_at = |label: &'static str| {
-        SweepPlan::from_builder(label, grid.clone(), |x| {
-            model_at(args, label, x).map_err(|e| performa_core::CoreError::InvalidParameter {
-                message: e.to_string(),
-            })
-        })
-    };
-    Ok(match param {
-        "rho" => Scenario::new(build_model(args)?, Axis::Rho(grid)).compile(),
-        "lambda" => Scenario::new(build_model(args)?, Axis::Lambda(grid)).compile(),
-        "delta" => from_model_at("delta"),
-        "availability" => from_model_at("availability"),
-        other => {
-            return Err(CliError::failed(format!(
-                "unknown sweep parameter `{other}` (rho|lambda|delta|availability)"
-            )))
-        }
-    })
-}
-
-/// Rebuilds the model with sweep parameter `param` set to `x`.
-fn model_at(args: &Args, param: &str, x: f64) -> Result<ClusterModel> {
-    match param {
-        "rho" => {
-            let base = build_model(args)?;
-            Ok(base.with_utilization(x)?)
-        }
-        "lambda" => {
-            let base = build_model(args)?;
-            Ok(base.with_arrival_rate(x)?)
-        }
-        "delta" => {
-            let up = parse_dist(&args.get_str("up", "exp:90"))?;
-            let down = parse_dist(&args.get_str("down", "tpt:10:1.4:0.2:10"))?;
-            let mut b = ClusterModel::builder()
-                .servers(args.get("servers", 2usize)?)
-                .peak_rate(args.get("peak-rate", 2.0)?)
-                .degradation(x)
-                .up(up)
-                .down(down);
-            if args.has("lambda") {
-                b = b.arrival_rate(args.get("lambda", 0.0)?);
-            } else {
-                b = b.utilization(args.get("rho", 0.5)?);
-            }
-            Ok(b.build()?)
-        }
-        "availability" => {
-            // Cycle-preserving availability sweep: rescale both periods.
-            let base = build_model(args)?;
-            let cycle = base.mttf() + base.mttr();
-            let up_spec = args.get_str("up", "exp:90");
-            let down_spec = args.get_str("down", "tpt:10:1.4:0.2:10");
-            let up = rescale_spec(&up_spec, x * cycle)?;
-            let down = rescale_spec(&down_spec, (1.0 - x) * cycle)?;
-            let mut b = ClusterModel::builder()
-                .servers(args.get("servers", 2usize)?)
-                .peak_rate(args.get("peak-rate", 2.0)?)
-                .degradation(args.get("delta", 0.2)?)
-                .up(up)
-                .down(down);
-            if args.has("lambda") {
-                b = b.arrival_rate(args.get("lambda", 0.0)?);
-            } else {
-                b = b.utilization(args.get("rho", 0.5)?);
-            }
-            Ok(b.build()?)
-        }
-        other => Err(CliError::failed(format!(
-            "unknown sweep parameter `{other}` (rho|lambda|delta|availability)"
-        ))),
-    }
-}
-
-/// Parses a distribution spec with its mean replaced — a thin wrapper
-/// over [`DistSpec::with_mean`], which preserves the family's shape
-/// parameters exactly.
-fn rescale_spec(spec: &str, new_mean: f64) -> Result<Dist> {
-    let parsed: DistSpec = spec.parse()?;
-    Ok(parsed.with_mean(new_mean).to_dist()?)
-}
-
 /// Outcome of opening a `--store`: a live handle, or the corruption
 /// diagnostic that the caller maps to [`RunStatus::StoreCorrupt`].
 enum StoreOpen {
@@ -1003,35 +938,49 @@ fn require_path(args: &Args, key: &str) -> Result<PathBuf> {
 
 /// Parses `--shard I/N` (0-based shard index out of N).
 fn parse_shard(spec: &str) -> Result<(usize, usize)> {
-    let bad = || CliError::failed(format!("bad --shard `{spec}` (expected I/N, e.g. 0/4)"));
+    let bad = || CliError::usage(format!("bad --shard `{spec}` (expected I/N, e.g. 0/4)"));
     let (i, n) = spec.split_once('/').ok_or_else(bad)?;
     let i: usize = i.trim().parse().map_err(|_| bad())?;
     let n: usize = n.trim().parse().map_err(|_| bad())?;
     if n == 0 || i >= n {
-        return Err(CliError::failed(format!(
+        return Err(CliError::usage(format!(
             "--shard {spec}: the index must satisfy 0 <= I < N"
         )));
     }
     Ok((i, n))
 }
 
-/// Metric selector for `sweep`.
-fn metric_value(sol: &performa_core::ClusterSolution, metric: &str) -> Result<f64> {
-    if metric == "mean" {
-        return Ok(sol.mean_queue_length());
+/// The `sweep --metric` column, parsed before anything runs.
+#[derive(Debug, Clone, Copy)]
+enum Metric {
+    Mean,
+    Normalized,
+    /// `Pr(Q >= K)`.
+    Tail(usize),
+}
+
+impl Metric {
+    fn parse(spec: &str) -> Result<Metric> {
+        match spec {
+            "mean" => Ok(Metric::Mean),
+            "normalized" => Ok(Metric::Normalized),
+            _ => spec
+                .strip_prefix("tail:")
+                .and_then(|k| k.parse().ok())
+                .map(Metric::Tail)
+                .ok_or_else(|| {
+                    CliError::usage(format!("unknown metric `{spec}` (mean|normalized|tail:K)"))
+                }),
+        }
     }
-    if metric == "normalized" {
-        return Ok(sol.normalized_mean_queue_length());
+
+    fn read(self, sol: &performa_core::ClusterSolution) -> f64 {
+        match self {
+            Metric::Mean => sol.mean_queue_length(),
+            Metric::Normalized => sol.normalized_mean_queue_length(),
+            Metric::Tail(k) => sol.at_least_probability(k),
+        }
     }
-    if let Some(k) = metric.strip_prefix("tail:") {
-        let k: usize = k
-            .parse()
-            .map_err(|_| CliError::failed(format!("bad tail level in metric `{metric}`")))?;
-        return Ok(sol.at_least_probability(k));
-    }
-    Err(CliError::failed(format!(
-        "unknown metric `{metric}` (mean|normalized|tail:K)"
-    )))
 }
 
 // ── `obs` verbs: trace consumption ──────────────────────────────────
@@ -1766,6 +1715,86 @@ mod tests {
         let first: f64 = lines[1].split(',').nth(1).unwrap().parse().unwrap();
         let last: f64 = lines[3].split(',').nth(1).unwrap().parse().unwrap();
         assert!(first > last);
+    }
+
+    #[test]
+    fn every_sweep_param_is_the_matching_axis() {
+        // With --rho only, each --param prints exactly what the same
+        // Scenario/Axis run gives: delta and availability hold the base
+        // model's arrival rate fixed instead of re-deriving it per point.
+        // The recorder is process-global: keep these solves' spans out
+        // of the obs tests' trace window.
+        let _guard = performa_obs::test_lock();
+        for (param, from, to) in [
+            ("rho", 0.3, 0.7),
+            ("lambda", 0.5, 1.5),
+            ("delta", 0.0, 0.4),
+            ("availability", 0.85, 0.95),
+        ] {
+            let (from_s, to_s) = (from.to_string(), to.to_string());
+            let a = args(&[
+                ("param", param),
+                ("from", &from_s),
+                ("to", &to_s),
+                ("steps", "2"),
+                ("metric", "mean"),
+                ("rho", "0.5"),
+                ("down", "tpt:4:1.4:0.2:10"),
+            ]);
+            let mut buf = Vec::new();
+            run("sweep", &a, &mut buf).unwrap();
+            let grid = SweepPlan::grid(from, to, 2).into_values();
+            let axis = match param {
+                "rho" => Axis::Rho(grid),
+                "lambda" => Axis::Lambda(grid),
+                "delta" => Axis::Delta(grid),
+                _ => Axis::Availability(grid),
+            };
+            let result = Scenario::new(build_model(&a).unwrap(), axis)
+                .compile()
+                .run_map(|sol| sol.mean_queue_length());
+            let mut expected = format!("{param},mean\n");
+            for p in result.points() {
+                expected += &format!("{:.6},{:.8e}\n", p.x, p.outcome.as_ref().unwrap());
+            }
+            assert_eq!(String::from_utf8(buf).unwrap(), expected, "--param {param}");
+        }
+    }
+
+    #[test]
+    fn lambda_pinned_delta_and_availability_sweeps_keep_their_cells() {
+        let _guard = performa_obs::test_lock();
+        let cells = |flags: &[(&str, &str)]| -> Vec<String> {
+            let mut buf = Vec::new();
+            run("sweep", &args(flags), &mut buf).unwrap();
+            let csv = String::from_utf8(buf).unwrap();
+            csv.lines()
+                .skip(1)
+                .filter_map(|l| l.split(',').nth(1).map(str::to_string))
+                .collect()
+        };
+        let availability = cells(&[
+            ("param", "availability"),
+            ("from", "0.4"),
+            ("to", "0.9"),
+            ("steps", "2"),
+            ("lambda", "1.8"),
+            ("down", "hyp2:10:50"),
+        ]);
+        assert_eq!(
+            availability,
+            ["2.44686891e2", "5.76074325e1", "2.87274532e0"]
+        );
+        let delta = cells(&[
+            ("param", "delta"),
+            ("from", "0"),
+            ("to", "0.4"),
+            ("steps", "2"),
+            ("lambda", "1.5"),
+            ("down", "tpt:5:1.4:0.2:10"),
+            ("metric", "mean"),
+        ]);
+        assert_eq!(delta, ["1.60952375e0", "9.55602370e-1", "7.26300221e-1"]);
     }
 
     #[test]

@@ -220,6 +220,43 @@ fn corrupt_store_exits_with_code_thirty() {
 }
 
 #[test]
+fn bad_sweep_selectors_are_usage_errors_that_run_nothing() {
+    // Exit 2 means nothing was run: no CSV header, no solve, no store.
+    for bad in [
+        ["--metric", "tail:abc"],
+        ["--param", "bogus"],
+        ["--shard", "2/2"],
+    ] {
+        let store = scratch("bad_selector");
+        let _ = std::fs::remove_file(&store);
+        let store_path = store.to_str().unwrap();
+        let mut argv = vec![
+            "sweep", "--steps", "4", "--down", "exp:10", "--store", store_path,
+        ];
+        argv.extend(bad);
+        let (code, out, err) = performa_code(&argv);
+        assert_eq!(code, Some(2), "{bad:?}: {err}");
+        assert!(out.is_empty(), "{bad:?} printed {out:?}");
+        assert!(!store.exists(), "{bad:?} created the store");
+    }
+}
+
+#[test]
+fn unknown_options_are_usage_errors() {
+    let prom = scratch("metrics_out");
+    let prom = prom.to_str().unwrap();
+    for argv in [
+        &["solve", "--rhoo", "0.9"][..],
+        &["sweep", "--parm", "delta"],
+        &["solve", "--metrics-out", prom],
+    ] {
+        let (code, out, err) = performa_code(argv);
+        assert_eq!(code, Some(2), "{argv:?}: {out}");
+        assert!(err.contains("unknown option"), "{argv:?}: {err}");
+    }
+}
+
+#[test]
 fn store_command_requires_a_verb() {
     let (ok, _, err) = performa(&["store"]);
     assert!(!ok);
@@ -346,20 +383,4 @@ fn obs_bench_trend_exit_code_contract() {
     assert!(out.contains("REGRESSED"), "{out}");
 
     std::fs::remove_file(&history).ok();
-}
-
-#[test]
-fn metrics_out_writes_valid_prometheus_exposition() {
-    let path = std::env::temp_dir().join(format!(
-        "performa_e2e_metrics_{}.prom",
-        std::process::id()
-    ));
-    let path_str = path.to_str().unwrap();
-    let (ok, out, err) =
-        performa(&["solve", "--down", "exp:10", "--metrics-out", path_str]);
-    assert!(ok, "{out}\n{err}");
-    let text = std::fs::read_to_string(&path).expect("exposition written");
-    performa_obs::expose::validate(&text).expect("exposition validates");
-    assert!(text.contains("# TYPE performa_"), "{text}");
-    std::fs::remove_file(&path).ok();
 }

@@ -28,12 +28,12 @@
 //! # Determinism
 //!
 //! With the default [`SweepOptions`] the engine is **bit-identical** to
-//! the serial loop `for x { model_at(x).solve() }`: each point is an
-//! independent plain [`ClusterModel::solve`] (the cached modulator is
-//! built by the same deterministic construction it replaces), and
-//! results are stored by index. Warm-starting (`warm_start: true`)
-//! trades bit-identity for speed: accepted seeds converge to the same
-//! `G` only up to the acceptance residual (see
+//! the serial loop `for x { axis.apply(template, x).solve() }`: each
+//! point is an independent plain [`ClusterModel::solve`] (the cached
+//! modulator is built by the same deterministic construction it
+//! replaces), and results are stored by index. Warm-starting
+//! (`warm_start: true`) trades bit-identity for speed: accepted seeds
+//! converge to the same `G` only up to the acceptance residual (see
 //! [`SweepOptions::warm_start`]).
 //!
 //! # Example
@@ -67,9 +67,7 @@ use std::time::{Duration, Instant};
 use performa_dist::{Dist, Moments, TruncatedPowerTail};
 use performa_linalg::{Matrix, Vector};
 use performa_markov::Mmpp;
-use performa_qbd::{
-    Qbd, QbdError, QbdSolution, SolveOptions, SolverSupervisor, SupervisorOptions, SOLVER_VERSION,
-};
+use performa_qbd::{Qbd, QbdError, QbdSolution, SolveOptions, SOLVER_VERSION};
 use performa_store::{PointKey, PointRecord, StoreHandle};
 
 use crate::ctrl::{Interrupt, RunBudget, Stop};
@@ -84,12 +82,16 @@ use crate::{CoreError, Result};
 /// falls back to a cold logarithmic-reduction solve.
 const WARM_ACCEPT_TOL: f64 = 1e-12;
 
+/// Iteration budget of a warm-started functional attempt before the
+/// point falls back to a cold solve.
+const WARM_BUDGET: usize = 2000;
+
 /// A refinable one-dimensional grid of sweep coordinates.
 ///
 /// [`Grid::refine_near`] densifies the grid around interesting
-/// abscissae (the blow-up thresholds `ρ_i` of the paper) exactly the
-/// way the historical `performa_experiments::rho_grid` helper did, so
-/// ported figures reproduce their grids bit-for-bit.
+/// abscissae (the blow-up thresholds `ρ_i` of the paper) with the fixed
+/// scheme the committed figure grids were generated with, so the
+/// figures reproduce their grids bit-for-bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     values: Vec<f64>,
@@ -277,7 +279,7 @@ impl Scenario {
 /// Marked `#[non_exhaustive]`: construct with [`SweepOptions::default`]
 /// and the `with_*` builders so new knobs can be added without breaking
 /// downstream crates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct SweepOptions {
     /// Worker threads; `0` means all available parallelism. The thread
@@ -289,23 +291,6 @@ pub struct SweepOptions {
     /// default; leave it off when bit-identity with the serial loop
     /// matters.
     pub warm_start: bool,
-    /// Share the lumped MMPP service process between points with an
-    /// identical failure/repair side (`⟨Q₁,L₁⟩` and the lumped
-    /// aggregate are λ-independent, so every ρ/λ sweep builds them
-    /// once). The cached construction is bit-identical to the per-point
-    /// rebuild it replaces; on by default.
-    pub reuse_modulator: bool,
-    /// Solve each point through the resilient [`SolverSupervisor`]
-    /// instead of the plain default-tolerance solve. `None` (default)
-    /// keeps the plain path, which is what the paper figures use —
-    /// the supervisor's relaxed acceptance and `G` renormalization are
-    /// not bit-identical to [`ClusterModel::solve`]. A
-    /// [`SupervisorOptions::stop`] set on this template is replaced by
-    /// each point's own stop (see [`SweepOptions::stop`]).
-    pub supervisor: Option<SupervisorOptions>,
-    /// Iteration budget for a warm-started functional attempt before
-    /// the point falls back to a cold solve.
-    pub warm_budget: usize,
     /// Durable result store. When set, the pool consults the store
     /// before solving each point (a hit replays the persisted solution
     /// bit-identically via [`performa_qbd::QbdSolution::from_parts`])
@@ -349,23 +334,6 @@ pub struct SweepOptions {
     pub kernel_threads: Option<usize>,
 }
 
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            threads: 0,
-            warm_start: false,
-            reuse_modulator: true,
-            supervisor: None,
-            warm_budget: 2000,
-            store: None,
-            retry_failed: false,
-            stop: Stop::default(),
-            point_deadline: None,
-            kernel_threads: None,
-        }
-    }
-}
-
 impl SweepOptions {
     /// Sets the per-point worker thread count (`0` = all cores).
     #[must_use]
@@ -378,27 +346,6 @@ impl SweepOptions {
     #[must_use]
     pub fn with_warm_start(mut self, on: bool) -> Self {
         self.warm_start = on;
-        self
-    }
-
-    /// Enables or disables modulator sharing between like points.
-    #[must_use]
-    pub fn with_reuse_modulator(mut self, on: bool) -> Self {
-        self.reuse_modulator = on;
-        self
-    }
-
-    /// Routes every point through the resilient supervisor.
-    #[must_use]
-    pub fn with_supervisor(mut self, supervisor: SupervisorOptions) -> Self {
-        self.supervisor = Some(supervisor);
-        self
-    }
-
-    /// Sets the warm-started attempt's iteration budget.
-    #[must_use]
-    pub fn with_warm_budget(mut self, budget: usize) -> Self {
-        self.warm_budget = budget;
         self
     }
 
@@ -446,6 +393,17 @@ struct PlanPoint {
     x: f64,
     model: std::result::Result<ClusterModel, String>,
     group: usize,
+}
+
+impl PlanPoint {
+    /// The point's model, or its build error as the point's outcome.
+    fn model(&self) -> Result<&ClusterModel> {
+        self.model
+            .as_ref()
+            .map_err(|message| CoreError::InvalidParameter {
+                message: message.clone(),
+            })
+    }
 }
 
 /// A compiled, executable sweep: prebuilt per-point models, the
@@ -609,31 +567,10 @@ impl SweepPlan {
         F: Fn(&ClusterSolution) -> T + Sync,
     {
         let ctx = ExecContext::new(self);
-        let out = self.execute(&ctx, |i, worker| {
-            let point = &self.points[i];
-            let _span = performa_obs::span_with(
-                "sweep.point",
-                vec![
-                    ("axis", self.label.into()),
-                    ("index", i.into()),
-                    ("x", point.x.into()),
-                ],
-            );
-            let started = Instant::now();
-            let mut cost = PointCost::default();
-            let outcome = ctx.solve_point(point, i, worker, &mut cost);
-            cost.elapsed = started.elapsed();
-            if outcome.is_ok() && cost.source != CostSource::Store {
-                // Feed the budget's cost EWMA with real solve times only
-                // — store replays are microseconds and say nothing about
-                // what an unsolved point will cost.
-                ctx.budget.record(cost.elapsed);
-            }
-            ctx.record_cost(i, cost);
-            let sol = outcome?;
-            Ok(f(&sol))
+        let points = self.execute(&ctx, |point, i, worker, cost| {
+            ctx.solve_point(point, i, worker, cost).map(|sol| f(&sol))
         });
-        ctx.finish(out)
+        ctx.finish(points)
     }
 
     /// Maps every point's *model* through `f` on the worker pool
@@ -645,53 +582,26 @@ impl SweepPlan {
         F: Fn(&ClusterModel) -> Result<T> + Sync,
     {
         let ctx = ExecContext::new(self);
-        let out = self.execute(&ctx, |i, _worker| {
-            let point = &self.points[i];
-            let _span = performa_obs::span_with(
-                "sweep.point",
-                vec![
-                    ("axis", self.label.into()),
-                    ("index", i.into()),
-                    ("x", point.x.into()),
-                ],
-            );
-            let started = Instant::now();
-            let outcome = match &point.model {
-                Ok(model) => f(model),
-                Err(msg) => Err(CoreError::InvalidParameter {
-                    message: msg.clone(),
-                }),
-            };
-            ctx.record_cost(
-                i,
-                PointCost {
-                    elapsed: started.elapsed(),
-                    ..PointCost::default()
-                },
-            );
-            outcome
-        });
-        ctx.finish(out)
+        let points = self.execute(&ctx, |point, _, _, _| f(point.model()?));
+        ctx.finish(points)
     }
 
     /// Work-stealing execution over the point indices with index-ordered
     /// collection — the worker pattern of `performa_sim::replicate`.
-    fn execute<T, F>(&self, ctx: &ExecContext<'_>, job: F) -> Vec<(f64, Result<T>)>
+    /// Each point runs inside its `sweep.point` span, is timed, and
+    /// leaves a [`PointCost`] next to its outcome.
+    fn execute<T, F>(&self, ctx: &ExecContext<'_>, job: F) -> Vec<SweepPoint<T>>
     where
         T: Send,
-        F: Fn(usize, &mut WorkerState) -> Result<T> + Sync,
+        F: Fn(&PlanPoint, usize, &mut WorkerState, &mut PointCost) -> Result<T> + Sync,
     {
-        enum Slot<T> {
-            Pending,
-            Done(Result<T>),
-        }
         let n = self.points.len();
         let threads = effective_threads(self.options.threads, n);
         if let Some(kt) = self.options.kernel_threads {
             performa_linalg::threading::set_threads(kt);
         }
         let next = AtomicUsize::new(0);
-        let mut slots: Vec<Slot<T>> = (0..n).map(|_| Slot::Pending).collect();
+        let mut slots: Vec<Option<(Result<T>, PointCost)>> = (0..n).map(|_| None).collect();
         let slots_mx = Mutex::new(&mut slots);
 
         std::thread::scope(|scope| {
@@ -701,7 +611,7 @@ impl SweepPlan {
                     loop {
                         // Cancellation / budget-exhaustion checkpoint:
                         // once the run is stopping no further points are
-                        // issued — their slots stay `Pending` and are
+                        // issued — their slots stay empty and are
                         // reported as `Cancelled` below.
                         if ctx.should_stop() {
                             break;
@@ -710,21 +620,46 @@ impl SweepPlan {
                         if i >= n {
                             break;
                         }
+                        let point = &self.points[i];
+                        let _span = performa_obs::span_with(
+                            "sweep.point",
+                            vec![
+                                ("axis", self.label.into()),
+                                ("index", i.into()),
+                                ("x", point.x.into()),
+                            ],
+                        );
+                        let started = Instant::now();
+                        let mut cost = PointCost::default();
                         // One bad point must not kill the sweep: typed
                         // errors flow into the slot, and a panic in the
                         // solver is captured the same way.
-                        let out = catch_unwind(AssertUnwindSafe(|| job(i, &mut worker)))
-                            .unwrap_or_else(|payload| {
-                                Err(CoreError::InvalidParameter {
-                                    message: format!(
-                                        "sweep point {i} panicked: {}",
-                                        panic_message(payload.as_ref())
-                                    ),
-                                })
-                            });
+                        let out = catch_unwind(AssertUnwindSafe(|| {
+                            job(point, i, &mut worker, &mut cost)
+                        }))
+                        .unwrap_or_else(|payload| {
+                            Err(CoreError::InvalidParameter {
+                                message: format!(
+                                    "sweep point {i} panicked: {}",
+                                    panic_message(payload.as_ref())
+                                ),
+                            })
+                        });
+                        cost.elapsed = started.elapsed();
+                        let solved = matches!(
+                            cost.source,
+                            CostSource::Warm | CostSource::Cold | CostSource::Retry
+                        );
+                        if out.is_ok() && solved {
+                            // Feed the budget's cost EWMA with real solve
+                            // times only — store replays are microseconds
+                            // and say nothing about what an unsolved point
+                            // will cost.
+                            ctx.budget.record(cost.elapsed);
+                        }
                         let mut guard =
                             slots_mx.lock().unwrap_or_else(|poison| poison.into_inner());
-                        guard[i] = Slot::Done(out);
+                        guard[i] = Some((out, cost));
                     }
                 });
             }
@@ -734,15 +669,22 @@ impl SweepPlan {
         slots
             .into_iter()
             .zip(&self.points)
-            .map(|(slot, point)| match slot {
-                Slot::Done(out) => (point.x, out),
-                Slot::Pending if stopped => (point.x, Err(CoreError::Cancelled)),
-                Slot::Pending => (
-                    point.x,
-                    Err(CoreError::InvalidParameter {
-                        message: "sweep point was never executed".to_string(),
-                    }),
-                ),
+            .map(|(slot, point)| {
+                let (outcome, cost) = slot.unwrap_or_else(|| {
+                    let never = if stopped {
+                        CoreError::Cancelled
+                    } else {
+                        CoreError::InvalidParameter {
+                            message: "sweep point was never executed".to_string(),
+                        }
+                    };
+                    (Err(never), PointCost::default())
+                });
+                SweepPoint {
+                    x: point.x,
+                    outcome,
+                    cost,
+                }
             })
             .collect()
     }
@@ -757,15 +699,28 @@ fn effective_threads(requested: usize, points: usize) -> usize {
     requested.clamp(1, points.max(1))
 }
 
-/// Solver failures that earn the one hardened retry of the ladder:
-/// numerical breakdowns and exhausted iteration budgets. Everything
-/// else (bad blocks, instability, deadlines) retries identically and
-/// is not worth a second attempt.
+/// Solver failures that earn the ladder's one hardened retry under a
+/// fresh point stop: numerical breakdowns, exhausted iteration budgets
+/// and deadline trips (the first grant may have been starved by a noisy
+/// cost estimate or a contended pool). Everything else — bad blocks,
+/// instability, cancellation — would fail the same way again.
 fn retryable(e: &QbdError) -> bool {
     matches!(
         e,
-        QbdError::NumericalBreakdown { .. } | QbdError::NoConvergence { .. }
+        QbdError::NumericalBreakdown { .. }
+            | QbdError::NoConvergence { .. }
+            | QbdError::DeadlineExceeded { .. }
     )
+}
+
+/// A solver error as the point's outcome. A cancelled solve becomes
+/// the sweep's own [`CoreError::Cancelled`], which is never persisted;
+/// every other error keeps its solver type.
+fn point_error(e: QbdError) -> CoreError {
+    match e {
+        QbdError::Cancelled { .. } => CoreError::Cancelled,
+        other => CoreError::Qbd(other),
+    }
 }
 
 /// The persisted failure class of a point error — `None` for
@@ -822,9 +777,6 @@ struct ExecContext<'a> {
     /// Latched once a worker observes the run's stop fire; unissued
     /// slots then map to [`CoreError::Cancelled`].
     stopped: AtomicBool,
-    /// Per-point cost records, indexed by grid position; workers write
-    /// their slot once, after solving.
-    costs: Mutex<Vec<PointCost>>,
     started: Instant,
 }
 
@@ -843,15 +795,8 @@ impl<'a> ExecContext<'a> {
             quarantined: AtomicU64::new(0),
             budget: RunBudget::default(),
             stopped: AtomicBool::new(false),
-            costs: Mutex::new(vec![PointCost::default(); plan.points.len()]),
             started: Instant::now(),
         }
-    }
-
-    /// Stores the cost record of point `i`.
-    fn record_cost(&self, i: usize, cost: PointCost) {
-        let mut costs = self.costs.lock().unwrap_or_else(|p| p.into_inner());
-        costs[i] = cost;
     }
 
     /// Whether the run is stopping (cancelled or out of time). Checked
@@ -925,8 +870,8 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// The lumped MMPP for this point, through the cache when enabled.
-    /// The cached object is bit-identical to a fresh
+    /// The lumped MMPP for this point, through the cache. The cached
+    /// object is bit-identical to a fresh
     /// [`ClusterModel::service_process`], so the cache never changes
     /// results — only skips rebuilding.
     fn modulator(&self, point: &PlanPoint, model: &ClusterModel) -> Result<Arc<Mmpp>> {
@@ -947,11 +892,8 @@ impl<'a> ExecContext<'a> {
         built.map_err(|message| CoreError::InvalidParameter { message })
     }
 
-    /// Solves one point: the durable store first (a hit replays the
-    /// persisted solution without touching the solver), then modulator
-    /// (cached) and `G`/`R`/boundary via warm start, supervisor, or the
-    /// plain bit-identical default path; fresh outcomes are appended
-    /// back to the store.
+    /// One point's pipeline: stability gate, store lookup, the solve
+    /// with its retry decision, then persisting the fresh outcome.
     fn solve_point(
         &self,
         point: &PlanPoint,
@@ -959,14 +901,7 @@ impl<'a> ExecContext<'a> {
         worker: &mut WorkerState,
         cost: &mut PointCost,
     ) -> Result<ClusterSolution> {
-        let model = match &point.model {
-            Ok(m) => m,
-            Err(msg) => {
-                return Err(CoreError::InvalidParameter {
-                    message: msg.clone(),
-                })
-            }
-        };
+        let model = point.model()?;
         // Same stability gate as `ClusterModel::solve`, so failed points
         // carry the same typed error the serial loop produced. Running
         // it before the store consult keeps deterministic model-level
@@ -978,64 +913,41 @@ impl<'a> ExecContext<'a> {
             });
         }
         let Some(store) = &self.plan.options.store else {
-            return self.solve_point_fresh(point, model, index, worker, cost);
+            return self.solve(point, model, index, worker, cost);
         };
         let key = store_key(model, point.x);
-        match store.get(&key) {
-            Some(PointRecord::Solved { m, pi0, pi1, r, g }) => {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-                cost.source = CostSource::Store;
-                cost.strategy = "replay";
-                self.replay_solved(model, m as usize, pi0, pi1, r, g)
-            }
-            Some(PointRecord::Failed { kind, message }) if !self.plan.options.retry_failed => {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-                cost.source = CostSource::Store;
-                cost.strategy = "replay";
-                Err(CoreError::ReplayedFailure { kind, message })
-            }
-            _ => {
-                let outcome = self.solve_point_fresh(point, model, index, worker, cost);
-                self.persist(store, &key, &outcome)?;
-                outcome
-            }
+        if let Some(replayed) = self.lookup(store, &key, model, cost) {
+            return replayed;
         }
+        let outcome = self.solve(point, model, index, worker, cost);
+        self.persist(store, &key, &outcome)?;
+        outcome
     }
 
-    /// Rebuilds a [`ClusterSolution`] from a persisted solved record.
-    /// The stored vectors carry the exact bits of the original solve,
-    /// and [`QbdSolution::from_parts`] recomputes the derived caches
-    /// through the same deterministic path — so every metric read off
-    /// the replayed solution is bit-identical to the original.
-    fn replay_solved(
+    /// The store's answer for `key`, when it has one to replay: a solved
+    /// record rebuilds its solution bit-identically, a failure record
+    /// replays as [`CoreError::ReplayedFailure`] unless the run retries
+    /// failures. `None` means the point must be solved.
+    fn lookup(
         &self,
+        store: &StoreHandle,
+        key: &PointKey,
         model: &ClusterModel,
-        m: usize,
-        pi0: Vec<f64>,
-        pi1: Vec<f64>,
-        r: Vec<f64>,
-        g: Vec<f64>,
-    ) -> Result<ClusterSolution> {
-        if pi0.len() != m || pi1.len() != m {
-            return Err(CoreError::Store {
-                message: format!(
-                    "stored record is inconsistent: m = {m} but boundary vectors have {} / {} \
-                     entries",
-                    pi0.len(),
-                    pi1.len()
-                ),
-            });
-        }
-        let to_matrix = |data: Vec<f64>, name: &str| {
-            Matrix::from_vec(m, m, data).map_err(|e| CoreError::Store {
-                message: format!("stored {name} matrix malformed: {e}"),
-            })
+        cost: &mut PointCost,
+    ) -> Option<Result<ClusterSolution>> {
+        let replayed = match store.get(key)? {
+            PointRecord::Solved { m, pi0, pi1, r, g } => {
+                replay_solved(model, m as usize, pi0, pi1, r, g)
+            }
+            PointRecord::Failed { .. } if self.plan.options.retry_failed => return None,
+            PointRecord::Failed { kind, message } => {
+                Err(CoreError::ReplayedFailure { kind, message })
+            }
         };
-        let r = to_matrix(r, "R")?;
-        let g = to_matrix(g, "G")?;
-        let sol = QbdSolution::from_parts(Vector::from(pi0), Vector::from(pi1), r, g)
-            .map_err(CoreError::from)?;
-        Ok(ClusterSolution::new(model.clone(), sol))
+        self.store_hits.fetch_add(1, Ordering::Relaxed);
+        cost.source = CostSource::Store;
+        cost.strategy = "replay";
+        Some(replayed)
     }
 
     /// Appends a fresh point outcome to the store. Solved points are
@@ -1074,13 +986,16 @@ impl<'a> ExecContext<'a> {
         Ok(())
     }
 
-    /// The pre-store solve path: modulator (cached), then supervisor,
-    /// warm start, or the plain cold solve with its bounded
-    /// retry-with-hardening ladder. The point's [`Stop`] is threaded into
-    /// whichever solver runs; a point that trips its deadline twice
-    /// (first attempt + hardened retry under a fresh allotment) is
-    /// quarantined.
-    fn solve_point_fresh(
+    /// Solves one point: the cached modulator, the optional warm start,
+    /// then the plain cold solve — exactly `ClusterModel::solve`'s
+    /// solver invocation. A [`retryable`] failure earns one hardened
+    /// retry under a fresh point stop: near the blow-up thresholds the
+    /// default-tolerance solve occasionally breaks down where the
+    /// hardened schedule still converges, and the retry can only turn
+    /// an error into a solution, so solved points stay bit-identical.
+    /// A point whose first attempt and retry both trip their deadlines
+    /// is quarantined; any other second error stands.
+    fn solve(
         &self,
         point: &PlanPoint,
         model: &ClusterModel,
@@ -1088,101 +1003,34 @@ impl<'a> ExecContext<'a> {
         worker: &mut WorkerState,
         cost: &mut PointCost,
     ) -> Result<ClusterSolution> {
-        let qbd = if self.plan.options.reuse_modulator && point.group != usize::MAX {
-            let mmpp = self.modulator(point, model)?;
-            Qbd::m_mmpp1(model.arrival_rate(), mmpp.generator(), mmpp.rates())
-                .map_err(CoreError::from)?
-        } else {
-            model.to_qbd()?
-        };
+        let mmpp = self.modulator(point, model)?;
+        let qbd = Qbd::m_mmpp1(model.arrival_rate(), mmpp.generator(), mmpp.rates())?;
         let stop = self.point_stop(index)?;
-
-        if let Some(sup) = &self.plan.options.supervisor {
-            cost.source = CostSource::Supervisor;
-            let attempt = |stop: Stop, cost: &mut PointCost| -> Result<ClusterSolution> {
-                let opts = sup.clone().with_stop(stop);
-                let (sol, report) = SolverSupervisor::with_options(qbd.clone(), opts).solve()?;
-                cost.strategy = report.strategy.key();
-                cost.iterations += report.total_iterations as u64;
-                Ok(ClusterSolution::new(model.clone(), sol))
-            };
-            return match attempt(stop, cost) {
-                Err(CoreError::Qbd(QbdError::Cancelled { .. })) => Err(CoreError::Cancelled),
-                Err(CoreError::Qbd(first @ QbdError::DeadlineExceeded { .. })) => {
-                    // The supervisor already escalates hardening
-                    // internally; the retry's value is the fresh
-                    // allotment (the first one may have been starved by
-                    // a noisy EWMA or a contended pool).
-                    match attempt(self.point_stop(index)?, cost) {
-                        Err(CoreError::Qbd(ref second @ QbdError::DeadlineExceeded { .. })) => {
-                            Err(self.quarantine(point.x, &first, second))
-                        }
-                        Err(CoreError::Qbd(QbdError::Cancelled { .. })) => {
-                            Err(CoreError::Cancelled)
-                        }
-                        other => other,
-                    }
-                }
-                other => other,
-            };
-        }
-
         if self.plan.options.warm_start {
             if let Some(sol) = self.try_warm(&qbd, model, &stop, worker, cost)? {
                 return Ok(sol);
             }
         }
-
-        // Cold path — exactly `ClusterModel::solve`'s solver invocation.
-        // A numerical failure earns one retry with the hardened option
-        // set before the error is allowed to stand: near the blow-up
-        // thresholds the default-tolerance solve occasionally breaks
-        // down where the hardened schedule still converges. The retry
-        // can only turn an error into a solution, so bit-identity of
-        // successful points is unaffected.
         cost.source = CostSource::Cold;
         cost.strategy = "logred";
-        let sol = match qbd.solve_with_count(SolveOptions::default().with_stop(stop)) {
-            Ok((sol, iters)) => {
-                cost.iterations = iters as u64;
-                sol
-            }
-            Err(QbdError::Cancelled { .. }) => return Err(CoreError::Cancelled),
-            Err(first @ QbdError::DeadlineExceeded { .. }) => {
-                // First deadline trip: one hardened retry under a fresh
-                // allotment. A second trip quarantines the point — it
-                // is persisted as a failure so a resumed run does not
-                // re-block a pool thread on it.
+        let (sol, iters) = match qbd.solve_with_count(SolveOptions::default().with_stop(stop)) {
+            Err(first) if retryable(&first) => {
                 self.retries.fetch_add(1, Ordering::Relaxed);
                 performa_obs::counter_add("sweep.retry", 1);
                 cost.source = CostSource::Retry;
                 let retry = SolveOptions::hardened().with_stop(self.point_stop(index)?);
-                match qbd.solve_with_count(retry) {
-                    Ok((sol, iters)) => {
-                        cost.iterations += iters as u64;
-                        sol
+                qbd.solve_with_count(retry).map_err(|second| {
+                    let tripped = |e: &QbdError| matches!(e, QbdError::DeadlineExceeded { .. });
+                    if tripped(&first) && tripped(&second) {
+                        self.quarantine(point.x, &first, &second)
+                    } else {
+                        point_error(second)
                     }
-                    Err(QbdError::Cancelled { .. }) => return Err(CoreError::Cancelled),
-                    Err(ref second @ QbdError::DeadlineExceeded { .. }) => {
-                        return Err(self.quarantine(point.x, &first, second))
-                    }
-                    Err(second) => return Err(second.into()),
-                }
+                })?
             }
-            Err(e) if retryable(&e) => {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                performa_obs::counter_add("sweep.retry", 1);
-                cost.source = CostSource::Retry;
-                let retry = SolveOptions::hardened().with_stop(self.point_stop(index)?);
-                let (sol, iters) = qbd.solve_with_count(retry).map_err(|e| match e {
-                    QbdError::Cancelled { .. } => CoreError::Cancelled,
-                    other => other.into(),
-                })?;
-                cost.iterations = iters as u64;
-                sol
-            }
-            Err(e) => return Err(e.into()),
+            first => first.map_err(point_error)?,
         };
+        cost.iterations = iters as u64;
         if self.plan.options.warm_start {
             worker.last_g = Some(sol.g_matrix().clone());
         }
@@ -1192,12 +1040,12 @@ impl<'a> ExecContext<'a> {
     /// Attempts a warm-started solve from the worker's previous `G`.
     /// Returns `Ok(None)` (after counting the rejection) when there is
     /// no usable seed, the seeded iteration fails to converge within
-    /// the budget, or the converged candidate's residual is above the
-    /// acceptance threshold — the caller then cold-starts. A
+    /// [`WARM_BUDGET`], or the converged candidate's residual is above
+    /// the acceptance threshold — the caller then cold-starts. A
     /// cancellation aborts outright (`Err`); a deadline trip rejects
     /// like any other warm failure, so the cold attempt trips the same
-    /// already-expired deadline at its first check and the quarantine
-    /// ladder proceeds normally.
+    /// already-expired deadline at its first check and the retry ladder
+    /// proceeds normally.
     fn try_warm(
         &self,
         qbd: &Qbd,
@@ -1215,11 +1063,11 @@ impl<'a> ExecContext<'a> {
         };
         let opts = SolveOptions::default()
             .with_initial_g(seed.clone())
-            .with_max_iterations(self.plan.options.warm_budget.max(1))
+            .with_max_iterations(WARM_BUDGET)
             .with_stop(stop.clone());
         let (g, warm_iters) = match qbd.g_matrix_functional_with_count(opts) {
             Ok(pair) => pair,
-            Err(QbdError::Cancelled { .. }) => return Err(CoreError::Cancelled),
+            Err(e @ QbdError::Cancelled { .. }) => return Err(point_error(e)),
             Err(_) => {
                 self.warm_rejected.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
@@ -1244,35 +1092,30 @@ impl<'a> ExecContext<'a> {
         Ok(Some(ClusterSolution::new(model.clone(), sol)))
     }
 
-    /// Assembles the ordered results and the run statistics, flushes
-    /// the store, and emits the run-level gauges.
-    fn finish<T>(self, mut out: Vec<(f64, Result<T>)>) -> SweepResult<T> {
+    /// Assembles the run statistics, flushes the store, and emits the
+    /// run-level gauges.
+    fn finish<T>(self, mut points: Vec<SweepPoint<T>>) -> SweepResult<T> {
         if let Some(store) = &self.plan.options.store {
             // End-of-run durability point: batched appends hit disk
             // here. A flush failure is surfaced on the first
             // otherwise-successful point rather than silently dropped.
             if let Err(e) = store.flush() {
-                if let Some(slot) = out.iter_mut().find(|(_, r)| r.is_ok()) {
-                    slot.1 = Err(CoreError::Store {
+                if let Some(p) = points.iter_mut().find(|p| p.outcome.is_ok()) {
+                    p.outcome = Err(CoreError::Store {
                         message: format!("final flush failed: {e}"),
                     });
                 }
             }
         }
-        let elapsed = self.started.elapsed();
-        let solved = out.iter().filter(|(_, r)| r.is_ok()).count();
-        let cancelled = out
+        let solved = points.iter().filter(|p| p.outcome.is_ok()).count();
+        let cancelled = points
             .iter()
-            .filter(|(_, r)| matches!(r, Err(CoreError::Cancelled)))
+            .filter(|p| matches!(p.outcome, Err(CoreError::Cancelled)))
             .count();
-        let costs = match self.costs.lock() {
-            Ok(mut guard) => std::mem::take(&mut *guard),
-            Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
-        };
         let stats = SweepStats {
-            points: out.len(),
+            points: points.len(),
             solved,
-            failed: out.len() - solved,
+            failed: points.len() - solved,
             cancelled,
             quarantined: self.quarantined.load(Ordering::Relaxed) as usize,
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
@@ -1282,21 +1125,51 @@ impl<'a> ExecContext<'a> {
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_appends: self.store_appends.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            total_iterations: costs.iter().map(|c| c.iterations).sum(),
-            threads: effective_threads(self.plan.options.threads, out.len()),
-            elapsed,
+            total_iterations: points.iter().map(|p| p.cost.iterations).sum(),
+            threads: effective_threads(self.plan.options.threads, points.len()),
+            elapsed: self.started.elapsed(),
         };
         if stats.cancelled > 0 {
             performa_obs::counter_add("sweep.cancelled", stats.cancelled as u64);
         }
         performa_obs::gauge_set("sweep.points_per_sec", stats.points_per_sec());
-        let points = out
-            .into_iter()
-            .zip(costs)
-            .map(|((x, outcome), cost)| SweepPoint { x, outcome, cost })
-            .collect();
         SweepResult { points, stats }
     }
+}
+
+/// Rebuilds a [`ClusterSolution`] from a persisted solved record.
+/// The stored vectors carry the exact bits of the original solve,
+/// and [`QbdSolution::from_parts`] recomputes the derived caches
+/// through the same deterministic path — so every metric read off
+/// the replayed solution is bit-identical to the original.
+fn replay_solved(
+    model: &ClusterModel,
+    m: usize,
+    pi0: Vec<f64>,
+    pi1: Vec<f64>,
+    r: Vec<f64>,
+    g: Vec<f64>,
+) -> Result<ClusterSolution> {
+    if pi0.len() != m || pi1.len() != m {
+        return Err(CoreError::Store {
+            message: format!(
+                "stored record is inconsistent: m = {m} but boundary vectors have {} / {} \
+                 entries",
+                pi0.len(),
+                pi1.len()
+            ),
+        });
+    }
+    let to_matrix = |data: Vec<f64>, name: &str| {
+        Matrix::from_vec(m, m, data).map_err(|e| CoreError::Store {
+            message: format!("stored {name} matrix malformed: {e}"),
+        })
+    };
+    let r = to_matrix(r, "R")?;
+    let g = to_matrix(g, "G")?;
+    let sol = QbdSolution::from_parts(Vector::from(pi0), Vector::from(pi1), r, g)
+        .map_err(CoreError::from)?;
+    Ok(ClusterSolution::new(model.clone(), sol))
 }
 
 /// Which solve path produced (or failed to produce) a point's result —
@@ -1316,13 +1189,11 @@ pub enum CostSource {
     Cold,
     /// Cold solve that needed the hardened retry of the ladder.
     Retry,
-    /// Solved through the supervisor fallback chain.
-    Supervisor,
 }
 
 impl CostSource {
     /// Short stable label (`store`, `warm`, `cold`, `retry`,
-    /// `supervisor`, `skipped`).
+    /// `skipped`).
     pub fn label(&self) -> &'static str {
         match self {
             CostSource::Skipped => "skipped",
@@ -1330,7 +1201,6 @@ impl CostSource {
             CostSource::Warm => "warm",
             CostSource::Cold => "cold",
             CostSource::Retry => "retry",
-            CostSource::Supervisor => "supervisor",
         }
     }
 }
@@ -1339,12 +1209,14 @@ impl CostSource {
 /// `G`-strategy used and the path the result came from.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PointCost {
-    /// Wall clock spent on this point (including store/cache work).
+    /// Wall clock spent on this point, from the store lookup to the
+    /// projection of its result.
     pub elapsed: Duration,
     /// Solver `G`-stage iterations (0 for replayed or analytic points).
     pub iterations: u64,
-    /// `G`-strategy key (`logred`, `neuts`, `functional`, `replay`, or
-    /// empty when no solver ran).
+    /// `G`-strategy key: `logred` (cold solve and its hardened retry),
+    /// `functional` (accepted warm start), `replay`, or empty when no
+    /// solver ran.
     pub strategy: &'static str,
     /// The path that produced the outcome.
     pub source: CostSource,
@@ -1537,13 +1409,13 @@ mod tests {
     }
 
     #[test]
-    fn modulator_cache_hits_on_rho_sweeps_and_respects_opt_out() {
+    fn modulator_cache_hits_on_rho_sweeps() {
+        // That the cache leaves the bits unchanged is asserted by
+        // `parallel_equals_serial_bitwise`, against uncached solves.
         let grid = Grid::linear(0.2, 0.8, 5).into_values();
         let n = grid.len();
-        let plan = Scenario::new(cluster(3, 0.5), Axis::Rho(grid.clone())).compile();
-
-        let cached = plan
-            .clone()
+        let cached = Scenario::new(cluster(3, 0.5), Axis::Rho(grid))
+            .compile()
             .with_options(SweepOptions {
                 threads: 1,
                 ..SweepOptions::default()
@@ -1551,27 +1423,6 @@ mod tests {
             .run_map(|sol| sol.mean_queue_length());
         assert_eq!(cached.stats().cache_misses, 1);
         assert_eq!(cached.stats().cache_hits, (n - 1) as u64);
-
-        let uncached = plan
-            .with_options(SweepOptions {
-                threads: 1,
-                reuse_modulator: false,
-                ..SweepOptions::default()
-            })
-            .run_map(|sol| sol.mean_queue_length());
-        assert_eq!(uncached.stats().cache_hits, 0);
-
-        let a: Vec<u64> = cached
-            .expect_values("stable")
-            .into_iter()
-            .map(f64::to_bits)
-            .collect();
-        let b: Vec<u64> = uncached
-            .expect_values("stable")
-            .into_iter()
-            .map(f64::to_bits)
-            .collect();
-        assert_eq!(a, b, "modulator cache must not change bits");
     }
 
     #[test]

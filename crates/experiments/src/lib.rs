@@ -7,7 +7,7 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use performa_core::{ClusterModel, StoreHandle, SweepOptions, SweepPlan};
+use performa_core::{ClusterModel, StoreHandle, SweepOptions};
 use performa_dist::{fit, Dist, DistSpec, Exponential, HyperExponential, Moments, TruncatedPowerTail};
 
 /// The paper's shared base parameters (Sect. 3, figure captions).
@@ -351,18 +351,6 @@ pub fn print_row(cols: &[f64]) {
     println!("{line}");
 }
 
-/// Linearly spaced utilization grid on `[lo, hi]` with extra
-/// refinement near the paper's blow-up thresholds.
-///
-/// Thin shim over [`performa_core::sweep::Grid`] — kept for the
-/// historical call sites; new code should use
-/// `SweepPlan::grid(lo, hi, steps).refine_near(thresholds)` directly.
-pub fn rho_grid(lo: f64, hi: f64, steps: usize, refine_at: &[f64]) -> Vec<f64> {
-    SweepPlan::grid(lo, hi, steps)
-        .refine_near(refine_at)
-        .into_values()
-}
-
 /// Convenience: the paper's blow-up thresholds for the base 2-server
 /// setting (ρ₂ ≈ 0.217, ρ₁ ≈ 0.609).
 pub fn base_thresholds() -> Vec<f64> {
@@ -476,14 +464,6 @@ mod tests {
         for t in [5u32, 9, 10] {
             assert!(fit_error(t) < 1e-8, "T={t}: {}", fit_error(t));
         }
-    }
-
-    #[test]
-    fn rho_grid_is_sorted_and_refined() {
-        let g = rho_grid(0.05, 0.95, 10, &[0.6087]);
-        assert!(g.windows(2).all(|w| w[0] < w[1]));
-        assert!(g.iter().any(|&r| (r - 0.6137).abs() < 1e-9));
-        assert!(g.len() > 11);
     }
 
     #[test]

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod agg;
-pub mod expose;
 pub mod flight;
 mod level;
 mod metrics;
@@ -53,7 +52,7 @@ mod sink;
 mod value;
 
 pub use level::{ParseLevelError, TraceLevel};
-pub use metrics::{bucket_index, bucket_upper, HistogramStats, Snapshot, SpanTiming, BUCKETS};
+pub use metrics::{bucket_index, HistogramStats, Snapshot, SpanTiming, BUCKETS};
 pub use ndjson::{DropCause, NdjsonSink, SCHEMA_VERSION};
 pub use record::{MetricKind, Record};
 pub use recorder::{

@@ -28,12 +28,6 @@ pub fn bucket_index(v: f64) -> usize {
     idx.clamp(0, BUCKETS as i32 - 1) as usize
 }
 
-/// Exclusive upper bound of bucket `i` (`2^(i−47)`), the `le` label
-/// value the Prometheus exposition uses.
-pub fn bucket_upper(i: usize) -> f64 {
-    2f64.powi(i as i32 + 1 - BUCKET_OFFSET)
-}
-
 /// Streaming summary of a histogram metric: moments, extrema and a
 /// log₂-bucketed sketch good enough for order-of-magnitude quantiles.
 #[derive(Debug, Clone)]
