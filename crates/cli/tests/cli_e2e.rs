@@ -139,6 +139,22 @@ fn solve_under_an_expired_deadline_fails_with_a_typed_error() {
 }
 
 #[test]
+fn solve_near_saturation_accepts_the_computed_g() {
+    // Default model (N=2, TPT T=10) at ρ = 0.97: logarithmic reduction
+    // converges in milliseconds and its G is accepted as computed. A
+    // supervisor that rescaled G first ran its whole fallback ladder
+    // here and came back degraded (exit 10), or hit this deadline.
+    let (code, out, err) = performa_code(&["solve", "--rho", "0.97", "--deadline", "10"]);
+    assert_eq!(code, Some(0), "{out}{err}");
+    assert!(out.contains("mean queue length: 6017.925416"), "{out}");
+    assert!(out.contains("status           : exact"), "{out}");
+    assert!(
+        !out.contains("renormalized") && !err.contains("renormalized"),
+        "{out}{err}"
+    );
+}
+
+#[test]
 fn simulate_under_an_expired_deadline_fails_when_no_replication_ran() {
     let (code, _, err) = performa_code(&[
         "simulate", "--reps", "4", "--cycles", "200", "--deadline", "0",

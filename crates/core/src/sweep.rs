@@ -1339,6 +1339,11 @@ impl<T> SweepResult<T> {
 
 #[cfg(test)]
 mod tests {
+    // Every test that runs a plan holds `performa_obs::test_lock()`:
+    // the recorder is process-global, so an unlocked plan's
+    // `sweep.point` spans and `sweep.cache_hit` counters land in the
+    // sink that `cache_hit_counter_reaches_memory_sink` counts.
+
     use super::*;
     use performa_dist::Exponential;
 
@@ -1374,6 +1379,7 @@ mod tests {
 
     #[test]
     fn parallel_equals_serial_bitwise() {
+        let _guard = performa_obs::test_lock();
         let grid = Grid::linear(0.1, 0.9, 7).into_values();
         let template = cluster(3, 0.5);
 
@@ -1412,6 +1418,7 @@ mod tests {
     fn modulator_cache_hits_on_rho_sweeps() {
         // That the cache leaves the bits unchanged is asserted by
         // `parallel_equals_serial_bitwise`, against uncached solves.
+        let _guard = performa_obs::test_lock();
         let grid = Grid::linear(0.2, 0.8, 5).into_values();
         let n = grid.len();
         let cached = Scenario::new(cluster(3, 0.5), Axis::Rho(grid))
@@ -1427,6 +1434,7 @@ mod tests {
 
     #[test]
     fn warm_start_agrees_with_cold_across_rho1_threshold() {
+        let _guard = performa_obs::test_lock();
         // Grid straddling the first blow-up threshold ρ₁ = 0.6087 of
         // the N = 2, δ = 0.2, A = 0.9 base cluster.
         let grid = Grid::linear(0.58, 0.64, 6).refine_near(&[0.6087]).into_values();
@@ -1462,6 +1470,7 @@ mod tests {
 
     #[test]
     fn bad_point_does_not_kill_the_sweep() {
+        let _guard = performa_obs::test_lock();
         // ρ = 1.2 is unstable; ρ ≤ 0 cannot even build a model.
         let plan = Scenario::new(
             cluster(3, 0.5),
@@ -1519,6 +1528,7 @@ mod tests {
 
     #[test]
     fn axes_transform_the_template_as_documented() {
+        let _guard = performa_obs::test_lock();
         let template = cluster(3, 0.5);
 
         let lam = Scenario::new(template.clone(), Axis::Lambda(vec![1.0, 1.5])).compile();

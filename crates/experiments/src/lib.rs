@@ -147,6 +147,37 @@ pub struct ObsGuard {
     profile: bool,
 }
 
+/// Every option an experiment binary reads: [`init_obs`]'s trace
+/// flags, [`sweep_options_from_args`]'s sweep flags and the simulation
+/// binaries' run lengths (through [`arg_or`]).
+const KNOWN_OPTIONS: &[&str] = &[
+    "--threads",
+    "--kernel-threads",
+    "--store",
+    "--retry-failed",
+    "--deadline",
+    "--trace-level",
+    "--trace-json",
+    "--profile",
+    "--reps",
+    "--cycles",
+];
+
+/// The first `--key` in `args` that is not in [`KNOWN_OPTIONS`].
+fn unknown_option(args: &[String]) -> Option<&str> {
+    args.iter()
+        .map(String::as_str)
+        .find(|a| a.starts_with("--") && !KNOWN_OPTIONS.contains(a))
+}
+
+/// Prints `message` and the option list to stderr and exits with the
+/// usage-error code 2, as the `performa` CLI does.
+fn usage_exit(message: &str) -> ! {
+    eprintln!("error: {message}");
+    eprintln!("options: {}", KNOWN_OPTIONS.join(" "));
+    std::process::exit(2);
+}
+
 /// Configures the global recorder from the binary's command line,
 /// honouring the same flags as the `performa` CLI:
 ///
@@ -156,12 +187,18 @@ pub struct ObsGuard {
 ///   `debug` verbosity unless `--trace-level` says otherwise,
 /// * `--profile` — metric aggregation plus a summary table on exit.
 ///
+/// Every binary calls it first, so it also rejects a misspelt option:
+/// any `--key` outside [`KNOWN_OPTIONS`] exits 2 before any work.
+///
 /// # Panics
 ///
 /// Panics on an unparseable level or unwritable trace path (experiment
 /// binaries want loud failures).
 pub fn init_obs() -> ObsGuard {
     let argv: Vec<String> = std::env::args().collect();
+    if let Some(bad) = unknown_option(&argv[1..]) {
+        usage_exit(&format!("unknown option {bad}"));
+    }
     let find = |key: &str| {
         argv.iter()
             .position(|a| a == key)
@@ -214,17 +251,19 @@ impl Drop for ObsGuard {
 }
 
 /// Returns `value` for `--key value` style CLI arguments, else the
-/// default. Used by the simulation binaries to scale run length.
+/// default. Used by the simulation binaries to scale run length. A
+/// missing or unparseable value exits 2 instead of running with the
+/// default.
 pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len().saturating_sub(1) {
-        if args[i] == key {
-            if let Ok(v) = args[i + 1].parse() {
-                return v;
-            }
-        }
+    let Some(i) = args.iter().position(|a| a == key) else {
+        return default;
+    };
+    match args.get(i + 1).map(|v| v.parse()) {
+        Some(Ok(v)) => v,
+        Some(Err(_)) => usage_exit(&format!("cannot parse {key} value `{}`", args[i + 1])),
+        None => usage_exit(&format!("option {key} needs a value")),
     }
-    default
 }
 
 /// Builds the [`SweepOptions`] shared by every figure binary from the
@@ -254,11 +293,13 @@ pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
 /// returned options so every curve shares the one open store handle and
 /// the one budget.
 ///
+/// A `--deadline` that is not a non-negative number of seconds exits 2,
+/// like any unparseable value.
+///
 /// # Panics
 ///
 /// Panics if `--store` cannot be opened (experiment binaries want loud
-/// failures) or `--deadline` is not a non-negative number of seconds;
-/// a corrupt store's diagnostic names the damaged offset.
+/// failures); a corrupt store's diagnostic names the damaged offset.
 pub fn sweep_options_from_args() -> SweepOptions {
     performa_core::install_sigint();
     let mut opts = SweepOptions::default()
@@ -270,10 +311,9 @@ pub fn sweep_options_from_args() -> SweepOptions {
     }
     if std::env::args().any(|a| a == "--deadline") {
         let secs: f64 = arg_or("--deadline", -1.0);
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "--deadline must be a non-negative number of seconds"
-        );
+        if !(secs.is_finite() && secs >= 0.0) {
+            usage_exit("--deadline must be a non-negative number of seconds");
+        }
         opts.stop = opts.stop.child(std::time::Duration::from_secs_f64(secs));
     }
     let argv: Vec<String> = std::env::args().collect();
@@ -498,5 +538,24 @@ mod tests {
     #[test]
     fn arg_or_returns_default_without_flag() {
         assert_eq!(arg_or("--not-set", 5u64), 5);
+    }
+
+    #[test]
+    fn unknown_options_are_named() {
+        let argv = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        for known in [
+            "--threads 2 --kernel-threads 1 --deadline 0 --store s.store --retry-failed",
+            "--trace-level info --trace-json t.ndjson --profile --reps 3 --cycles 100",
+            "",
+        ] {
+            assert_eq!(unknown_option(&argv(known)), None, "{known}");
+        }
+        assert_eq!(unknown_option(&argv("--deadlin 0")), Some("--deadlin"));
+        assert_eq!(
+            unknown_option(&argv("--threads 2 --horizon 9")),
+            Some("--horizon")
+        );
+        // Values are not options, even negative numbers.
+        assert_eq!(unknown_option(&argv("--deadline -1")), None);
     }
 }

@@ -14,7 +14,10 @@
 //! * automatic tolerance relaxation — reported via
 //!   [`SolveWarning::ToleranceRelaxed`], never silent — when no stage
 //!   meets the requested tolerance,
-//! * stochasticity-drift renormalization of `G` between stages,
+//! * a read-only stochasticity guard: each stage's `G` is judged
+//!   exactly as the stage returned it, and one that drifted off the
+//!   stochastic set beyond [`SupervisorOptions::drift_cap`] fails the
+//!   stage (it is never rescaled),
 //! * cooperative interruption through a [`Stop`]
 //!   ([`QbdError::Cancelled`], [`QbdError::DeadlineExceeded`]),
 //! * condition-number surveillance of the `R` and boundary linear systems
@@ -143,9 +146,11 @@ pub struct SupervisorOptions {
     /// Emit [`SolveWarning::IllConditioned`] when a linear-system
     /// condition estimate exceeds this threshold.
     pub condition_threshold: f64,
-    /// Largest stochasticity drift of `G` that is repaired by
-    /// renormalization; beyond it the stage is declared failed.
-    pub renormalization_cap: f64,
+    /// Largest stochasticity drift of `G` (negative entry or row-sum
+    /// deviation) a stage may return; beyond it the stage is declared
+    /// failed. The guard only rejects: an accepted `G` is never
+    /// rewritten.
+    pub drift_cap: f64,
     /// Interruption of the whole solve, probed between stages and
     /// inside every counted iteration loop (at the amortized check
     /// stride). An expired deadline aborts with
@@ -184,7 +189,7 @@ impl Default for SupervisorOptions {
             relaxation_factor: 100.0,
             saturation_margin: 0.02,
             condition_threshold: 1e12,
-            renormalization_cap: 1e-2,
+            drift_cap: 1e-2,
             stop: Stop::default(),
             hardening: Hardening::default(),
         }
@@ -280,8 +285,8 @@ pub enum StageFailureReason {
         /// Acceptance budget (`tolerance × scale`).
         budget: f64,
     },
-    /// `G` drifted off the stochastic set further than the
-    /// renormalization cap allows.
+    /// `G` drifted off the stochastic set further than the drift cap
+    /// allows.
     StochasticDrift {
         /// Observed drift.
         drift: f64,
@@ -371,9 +376,9 @@ impl fmt::Display for StageFailureReason {
 }
 
 /// A non-fatal condition observed during a supervised solve. Warnings are
-/// always surfaced in the [`SolveReport`]; the supervisor never silently
-/// repairs or relaxes. Each warning is also emitted as a structured
-/// trace event carrying the same numeric payload.
+/// always surfaced in the [`SolveReport`]; the supervisor never repairs
+/// a `G` and never relaxes silently. Each warning is also emitted as a
+/// structured trace event carrying the same numeric payload.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SolveWarning {
@@ -397,11 +402,6 @@ pub enum SolveWarning {
         strategy: GStrategy,
         /// Typed failure cause with its numeric evidence.
         reason: StageFailureReason,
-    },
-    /// `G` drifted off the stochastic set and was renormalized.
-    Renormalized {
-        /// Largest row-sum deviation (or clamped negative entry).
-        drift: f64,
     },
     /// A linear system solved on the way to the solution is
     /// ill-conditioned; the attached estimate bounds the amplification of
@@ -450,11 +450,6 @@ impl SolveWarning {
                 }
                 event(TraceLevel::Warn, "qbd.fallback", fields)
             }
-            SolveWarning::Renormalized { drift } => event(
-                TraceLevel::Warn,
-                "qbd.renormalized",
-                vec![("drift", (*drift).into())],
-            ),
             SolveWarning::IllConditioned { context, estimate } => event(
                 TraceLevel::Warn,
                 "qbd.ill_conditioned",
@@ -482,10 +477,6 @@ impl fmt::Display for SolveWarning {
             SolveWarning::StageFailed { strategy, reason } => {
                 write!(f, "stage '{strategy}' failed: {reason}")
             }
-            SolveWarning::Renormalized { drift } => write!(
-                f,
-                "G renormalized onto the stochastic set (drift {drift:.3e})"
-            ),
             SolveWarning::IllConditioned { context, estimate } => write!(
                 f,
                 "{context} is ill-conditioned (estimate {estimate:.3e})"
@@ -732,12 +723,12 @@ impl SolverSupervisor {
                     performa_obs::flight::begin(stage.strategy.key(), hardening.any());
                     let outcome = self.run_stage(*stage, tol, hardening);
                     match outcome {
-                        Ok((mut g, iters)) => {
-                            let drift = renormalize_g(&mut g);
-                            if drift > self.options.renormalization_cap {
+                        Ok((g, iters)) => {
+                            let drift = stochastic_drift(&g);
+                            if drift > self.options.drift_cap {
                                 let reason = StageFailureReason::StochasticDrift {
                                     drift,
-                                    cap: self.options.renormalization_cap,
+                                    cap: self.options.drift_cap,
                                 };
                                 attempts.push(StageAttempt {
                                     strategy: stage.strategy,
@@ -757,9 +748,6 @@ impl SolverSupervisor {
                                 performa_obs::flight::dump("stage_failed");
                                 continue 'stages;
                             }
-                            if drift > tol * 10.0 {
-                                warn(&mut warnings, SolveWarning::Renormalized { drift });
-                            }
                             let residual = self.qbd.g_residual(&g);
                             best_residual = best_residual.min(residual);
                             if residual <= tol * scale {
@@ -770,6 +758,7 @@ impl SolverSupervisor {
                                         ("strategy", stage.strategy.key().into()),
                                         ("iterations", iters.into()),
                                         ("residual", residual.into()),
+                                        ("drift", drift.into()),
                                     ],
                                 );
                                 attempts.push(StageAttempt {
@@ -998,31 +987,18 @@ impl SolverSupervisor {
     }
 }
 
-/// Clamps negative entries to zero and rescales each row of `G` to sum
-/// to one (for a recurrent chain `G` is stochastic); returns the largest
-/// deviation repaired.
-fn renormalize_g(g: &mut Matrix) -> f64 {
-    let m = g.nrows();
-    let mut drift: f64 = 0.0;
-    for i in 0..m {
-        let mut sum = 0.0;
-        for j in 0..m {
-            let v = g[(i, j)];
-            if v < 0.0 {
-                drift = drift.max(-v);
-                g[(i, j)] = 0.0;
-            } else {
-                sum += v;
-            }
-        }
-        drift = drift.max((sum - 1.0).abs());
-        if sum > 0.0 {
-            for j in 0..m {
-                g[(i, j)] /= sum;
-            }
-        }
-    }
-    drift
+/// Distance of `G` from the stochastic set (for a recurrent chain `G`
+/// is stochastic): the largest negative entry, or the largest deviation
+/// from one of a row's non-negative sum. Reads `G` only.
+fn stochastic_drift(g: &Matrix) -> f64 {
+    (0..g.nrows())
+        .map(|i| {
+            let row = g.row(i);
+            let neg = row.iter().fold(0.0_f64, |d, &v| d.max(-v));
+            let sum: f64 = row.iter().filter(|&&v| v >= 0.0).sum();
+            neg.max((sum - 1.0).abs())
+        })
+        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -1211,15 +1187,13 @@ mod tests {
     }
 
     #[test]
-    fn renormalize_repairs_drift() {
-        let mut g = Matrix::from_rows(&[&[0.6, 0.5], &[-0.01, 1.0]]);
-        let drift = renormalize_g(&mut g);
-        assert!(drift > 0.09);
-        for i in 0..2 {
-            let s: f64 = g.row(i).iter().sum();
-            assert!((s - 1.0).abs() < 1e-12);
-            assert!(g.row(i).iter().all(|&v| v >= 0.0));
-        }
+    fn stochastic_drift_measures_without_repairing() {
+        let g = Matrix::from_rows(&[&[0.6, 0.5], &[-0.01, 1.0]]);
+        let before: Vec<u64> = g.as_slice().iter().map(|v| v.to_bits()).collect();
+        let drift = stochastic_drift(&g);
+        assert!((drift - 0.1).abs() < 1e-15, "drift {drift}");
+        let after: Vec<u64> = g.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(before, after, "G must be left bit-for-bit unchanged");
     }
 
     #[test]

@@ -1,0 +1,43 @@
+//! The supervisor accepts the G a stage computed, on its own merits.
+//!
+//! Near the stability and blow-up boundaries logarithmic reduction
+//! returns a G whose residual is ~3e-15 while its rows sum to one only
+//! to ~1e-8. Rescaling those rows onto the stochastic set moves the
+//! residual over its budget, so a supervisor that judged the
+//! rescaled copy ran Neuts and functional iteration to their budgets,
+//! relaxed the tolerance and returned a degraded, less accurate answer.
+//! At N = 2, T = 10, ρ = 0.97 that took seconds and gave E[Q] =
+//! 6018.716; the plain solve gives 6017.9254158096 in milliseconds.
+
+use performa::qbd::{GStrategy, SolveWarning, StageOutcome, SupervisorOptions};
+use performa_experiments::{params, tpt_cluster_with};
+
+#[test]
+fn converged_logred_g_is_accepted_as_computed() {
+    let m = tpt_cluster_with(2, params::DELTA, 10, 0.97);
+    let plain = m.solve().expect("plain solve").mean_queue_length();
+    let (sol, report) = m
+        .solve_supervised(SupervisorOptions::default())
+        .expect("supervised solve");
+
+    assert!(!report.degraded, "{}", report.summary());
+    assert_eq!(report.attempts.len(), 1, "{:?}", report.attempts);
+    let attempt = &report.attempts[0];
+    assert_eq!(attempt.strategy, GStrategy::LogarithmicReduction);
+    assert!(attempt.converged);
+    assert_eq!(attempt.outcome, StageOutcome::Converged);
+    assert!(
+        !report.warnings.iter().any(|w| matches!(
+            w,
+            SolveWarning::StageFailed { .. } | SolveWarning::ToleranceRelaxed { .. }
+        )),
+        "{:?}",
+        report.warnings
+    );
+
+    let eq = sol.mean_queue_length();
+    assert!(
+        ((eq - plain) / plain).abs() <= 1e-9,
+        "supervised E[Q] {eq} vs plain {plain}"
+    );
+}
