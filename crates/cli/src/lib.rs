@@ -27,8 +27,7 @@ use std::time::Duration;
 
 use performa_core::{
     blowup, install_sigint, sensitivity, store_merge, store_verify, Axis, ClusterModel, CoreError,
-    GStrategy, Scenario, StageBudget, Stop, StoreError, StoreHandle, SupervisorOptions,
-    SweepOptions, SweepPlan,
+    Scenario, Stop, StoreError, StoreHandle, SupervisorOptions, SweepOptions, SweepPlan,
 };
 use performa_dist::{Dist, DistSpec};
 use performa_sim::{
@@ -118,14 +117,15 @@ RESILIENCE OPTIONS (solve, simulate and sweep):
                          per-point deadlines (expensive-looking points get
                          more, with a floor) and on exhaustion the run
                          exits 40 with every completed point flushed
-  --max-iter N           cap the iteration budget of every solver stage
-  --fallback LIST        comma-separated G-matrix strategy chain, tried in
-                         order: neuts|functional|logred
-                         (default logred,neuts,functional)
-  --hardening SPEC       numerical hardening for every stage: none|full or
-                         a '+'-joined list of shift|equilibrate|refine
-                         (default none; failing stages auto-harden)
-  --tolerance T          target solver tolerance (default 1e-10)
+  --max-iter N           cap the iteration budget of each logarithmic-
+                         reduction attempt (default 200)
+  --hardening SPEC       numerical hardening of the first attempt: none|full
+                         or a '+'-joined list of shift|equilibrate|refine
+                         (default none; a breakdown gets one fully
+                         hardened retry)
+  --tolerance T          target solver tolerance (default 1e-10); a G
+                         that misses it fails the solve, it is never
+                         relaxed
 
 OBSERVABILITY OPTIONS (all commands):
   --trace-level L        off|error|warn|info|debug|trace — human-readable
@@ -139,8 +139,8 @@ EXIT CODES:
   0   exact result
   2   usage error (unknown flag, unparsable or out-of-domain value);
       nothing was run
-  10  degraded but bounded (fallback strategy, relaxed tolerance, or
-      partial replication set — details are printed)
+  10  degraded but bounded (a solver breakdown rescued by the hardened
+      retry, or a partial replication set — details are printed)
   20  failed (no usable result)
   30  result store corrupt beyond automatic recovery (interior damage;
       only a torn tail is repaired in place)
@@ -225,8 +225,8 @@ pub use performa_core::EXIT_PARTIAL;
 pub enum RunStatus {
     /// Full-precision result at the requested tolerance.
     Exact,
-    /// The result is usable but degraded: a fallback strategy was
-    /// needed, the tolerance was relaxed, or only part of the requested
+    /// The result is usable but degraded: a solver breakdown was
+    /// rescued by the hardened retry, or only part of the requested
     /// replications completed before the deadline.
     Degraded,
     /// A result store has interior corruption that recovery cannot
@@ -274,7 +274,7 @@ const KNOWN_OPTIONS: &[&str] = &[
     // solve, blowup
     "tail", "delay-bound", "threads", "alpha",
     // resilience
-    "deadline", "max-iter", "fallback", "hardening", "tolerance",
+    "deadline", "max-iter", "hardening", "tolerance",
     // sweep
     "param", "from", "to", "steps", "metric", "kernel-threads", "store", "resume", "shard",
     "retry-failed",
@@ -478,27 +478,6 @@ fn parse_strategy(s: &str) -> Result<FailureStrategy> {
         .ok_or_else(|| CliError::failed(format!("unknown strategy `{s}`")))
 }
 
-/// Parses `--fallback` into a stage chain; each strategy keeps its
-/// default iteration budget.
-fn parse_fallback(spec: &str) -> Result<Vec<StageBudget>> {
-    let defaults = SupervisorOptions::default();
-    spec.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|name| {
-            let strategy: GStrategy = name
-                .parse()
-                .map_err(|e: performa_qbd::QbdError| CliError::failed(e.to_string()))?;
-            let budget = defaults
-                .chain
-                .iter()
-                .find(|b| b.strategy == strategy)
-                .map_or(50_000, |b| b.max_iterations);
-            Ok(StageBudget::new(strategy, budget))
-        })
-        .collect()
-}
-
 /// The run's [`Stop`]: cancelled by Ctrl-C once [`install_sigint`] has
 /// run, with the wall-clock `--deadline` (seconds), if present, fixed
 /// now.
@@ -517,15 +496,12 @@ fn parse_stop(args: &Args) -> Result<Stop> {
 }
 
 /// Builds [`SupervisorOptions`] from the resilience flags
-/// (`--tolerance`, `--fallback`, `--max-iter`, `--deadline`).
+/// (`--tolerance`, `--hardening`, `--max-iter`, `--deadline`).
 pub fn supervisor_options(args: &Args) -> Result<SupervisorOptions> {
     let mut opts = SupervisorOptions::default();
     if args.has("tolerance") {
         let tol = args.get("tolerance", opts.tolerance)?;
         opts = opts.with_tolerance(tol);
-    }
-    if args.has("fallback") {
-        opts.chain = parse_fallback(&args.get_str("fallback", ""))?;
     }
     if args.has("hardening") {
         opts.hardening = args
@@ -538,9 +514,7 @@ pub fn supervisor_options(args: &Args) -> Result<SupervisorOptions> {
         if cap == 0 {
             return Err(CliError::usage("--max-iter must be at least 1"));
         }
-        for stage in &mut opts.chain {
-            stage.max_iterations = stage.max_iterations.min(cap);
-        }
+        opts.max_iterations = opts.max_iterations.min(cap);
     }
     Ok(opts.with_stop(parse_stop(args)?))
 }
@@ -599,8 +573,7 @@ pub fn run<W: std::io::Write>(command: &str, args: &Args, out: &mut W) -> Result
             }
             writeln!(
                 out,
-                "solver           : {} ({} iterations, residual {:.3e})",
-                report.strategy.name(),
+                "solver           : logarithmic reduction ({} iterations, residual {:.3e})",
                 report.total_iterations,
                 report.residual
             )
@@ -1451,34 +1424,14 @@ mod tests {
     }
 
     #[test]
-    fn solve_accepts_fallback_chain_and_aliases() {
-        // Exponential repairs keep the phase space tiny so even the
-        // linearly convergent chains finish instantly.
-        for chain in ["functional", "lr,ss", "logred , neuts"] {
-            let a = args(&[("rho", "0.4"), ("down", "exp:10"), ("fallback", chain)]);
-            let mut buf = Vec::new();
-            let status = run("solve", &a, &mut buf).unwrap();
-            assert_eq!(status, RunStatus::Exact, "chain `{chain}`");
-        }
-        let bad = args(&[("fallback", "gauss")]);
-        let mut buf = Vec::new();
-        assert!(run("solve", &bad, &mut buf).is_err());
-    }
-
-    #[test]
     fn resilience_flags_shape_supervisor_options() {
-        let a = args(&[
-            ("fallback", "logred,functional"),
-            ("max-iter", "80"),
-            ("tolerance", "1e-9"),
-            ("deadline", "30"),
-        ]);
+        let a = args(&[("max-iter", "80"), ("tolerance", "1e-9"), ("deadline", "30")]);
         let before = std::time::Instant::now();
         let opts = supervisor_options(&a).unwrap();
-        assert_eq!(opts.chain.len(), 2);
-        assert_eq!(opts.chain[0].strategy, GStrategy::LogarithmicReduction);
-        assert_eq!(opts.chain[1].strategy, GStrategy::FunctionalIteration);
-        assert!(opts.chain.iter().all(|s| s.max_iterations <= 80));
+        assert_eq!(opts.max_iterations, 80);
+        // The flag caps the budget; it never raises it.
+        let wide = supervisor_options(&args(&[("max-iter", "100000")])).unwrap();
+        assert_eq!(wide.max_iterations, SupervisorOptions::default().max_iterations);
         assert!((opts.tolerance - 1e-9).abs() < 1e-24);
         let deadline = opts.stop.deadline().expect("--deadline arms the stop");
         let grant = Duration::from_secs(30);
@@ -1490,8 +1443,8 @@ mod tests {
 
     #[test]
     fn starved_iteration_budget_is_a_typed_error() {
-        // Three iterations of any strategy cannot reach 1e-12 at rho
-        // 0.7, so the supervisor must exhaust its chain and fail.
+        // Three logred iterations cannot reach the tolerance at rho 0.7,
+        // so the supervisor must exhaust its budget and fail.
         let a = args(&[("rho", "0.7"), ("max-iter", "3")]);
         let mut buf = Vec::new();
         let err = run("solve", &a, &mut buf).unwrap_err();

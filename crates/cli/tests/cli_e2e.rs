@@ -142,8 +142,9 @@ fn solve_under_an_expired_deadline_fails_with_a_typed_error() {
 fn solve_near_saturation_accepts_the_computed_g() {
     // Default model (N=2, TPT T=10) at ρ = 0.97: logarithmic reduction
     // converges in milliseconds and its G is accepted as computed. A
-    // supervisor that rescaled G first ran its whole fallback ladder
-    // here and came back degraded (exit 10), or hit this deadline.
+    // supervisor that rescaled G first ran Neuts, functional iteration
+    // and tolerance relaxation here and came back degraded (exit 10),
+    // or hit this deadline.
     let (code, out, err) = performa_code(&["solve", "--rho", "0.97", "--deadline", "10"]);
     assert_eq!(code, Some(0), "{out}{err}");
     assert!(out.contains("mean queue length: 6017.925416"), "{out}");
@@ -152,6 +153,19 @@ fn solve_near_saturation_accepts_the_computed_g() {
         !out.contains("renormalized") && !err.contains("renormalized"),
         "{out}{err}"
     );
+}
+
+#[test]
+fn solve_with_an_unattainable_tolerance_fails_at_once() {
+    // Logred's residual (~3e-15) misses the 1e-16 budget. The solve
+    // fails with a typed error; it neither relaxes the tolerance nor
+    // runs a linear iteration and prints a degraded result (exit 10).
+    let (code, out, err) = performa_code(&[
+        "solve", "--rho", "0.7", "--down", "tpt:9:1.4:0.2:10", "--tolerance", "1e-16",
+    ]);
+    assert_eq!(code, Some(20), "{out}{err}");
+    assert!(out.is_empty(), "{out}");
+    assert!(err.contains("solver supervisor"), "{err}");
 }
 
 #[test]
@@ -265,6 +279,7 @@ fn unknown_options_are_usage_errors() {
         &["solve", "--rhoo", "0.9"][..],
         &["sweep", "--parm", "delta"],
         &["solve", "--metrics-out", prom],
+        &["solve", "--fallback", "logred"],
     ] {
         let (code, out, err) = performa_code(argv);
         assert_eq!(code, Some(2), "{argv:?}: {out}");

@@ -24,8 +24,9 @@
 //! * [`FiniteBufferCluster`] — the ME/MMPP/1/K finite-dispatcher-queue
 //!   variant with loss probabilities,
 //! * [`ClusterModel::solve_supervised`] — the resilient solver entry
-//!   point: a fallback chain of G-matrix strategies with numerical
-//!   watchdogs, returning a structured [`SolveReport`].
+//!   point: logarithmic reduction with numerical watchdogs and one
+//!   hardened retry after a breakdown, returning a structured
+//!   [`SolveReport`].
 //!
 //! # Quickstart: reproducing a point of the paper's Figure 1
 //!
@@ -90,9 +91,7 @@ pub use performa_store::{
 // Re-exported so callers of [`ClusterModel::solve_supervised`] can
 // configure the resilient solver pipeline without a direct QBD
 // dependency.
-pub use performa_qbd::{
-    GStrategy, SolveReport, SolveWarning, SolverSupervisor, StageBudget, SupervisorOptions,
-};
+pub use performa_qbd::{SolveReport, SolveWarning, SolverSupervisor, SupervisorOptions};
 
 /// Result alias for fallible model operations.
 pub type Result<T> = std::result::Result<T, CoreError>;
@@ -100,8 +99,8 @@ pub type Result<T> = std::result::Result<T, CoreError>;
 /// One-line import for experiment binaries and downstream tools.
 ///
 /// Pulls in the model builders, the sweep machinery, the supervised
-/// solver configuration (including the [`GStrategy`]/[`Hardening`]
-/// string round-trips) and the distribution specs — everything a
+/// solver configuration (including the [`Hardening`] string
+/// round-trip) and the distribution specs — everything a
 /// typical figure-reproduction `main` touches:
 ///
 /// ```
@@ -114,11 +113,10 @@ pub mod prelude {
     pub use crate::{blowup, sensitivity, telco};
     pub use crate::{
         install_sigint, store_key, Axis, ClusterBuilder, ClusterModel, ClusterSolution, CoreError,
-        CrashDiscardCluster, CrashDiscardSolution, FiniteBufferCluster, FiniteBufferSolution,
-        GStrategy, Grid, LoadDependentCluster, LoadDependentSolution, MeArrivalCluster,
-        MeArrivalSolution, RunBudget, Scenario, SolveReport, SolverSupervisor, StageBudget, Stop,
-        StoreHandle, SupervisorOptions, SweepOptions, SweepPlan, SweepResult, SweepStats,
-        TransientAnalysis, EXIT_PARTIAL,
+        CrashDiscardCluster, CrashDiscardSolution, FiniteBufferCluster, FiniteBufferSolution, Grid,
+        LoadDependentCluster, LoadDependentSolution, MeArrivalCluster, MeArrivalSolution,
+        RunBudget, Scenario, SolveReport, SolverSupervisor, Stop, StoreHandle, SupervisorOptions,
+        SweepOptions, SweepPlan, SweepResult, SweepStats, TransientAnalysis, EXIT_PARTIAL,
     };
     pub use performa_dist::DistSpec;
     pub use performa_qbd::{Hardening, SolveOptions};

@@ -216,18 +216,19 @@ impl ClusterModel {
     }
 
     /// Solves the model through the resilient [`SolverSupervisor`]:
-    /// a fallback chain of G-matrix strategies with numerical watchdogs,
-    /// reported tolerance relaxation and optional wall-clock deadline.
+    /// logarithmic reduction with numerical watchdogs, one fully
+    /// hardened retry after a breakdown and an optional wall-clock
+    /// deadline.
     ///
     /// Returns the solution together with a [`SolveReport`] describing
-    /// which strategy succeeded, how hard it had to work, and whether
-    /// the result is degraded (fallback taken or tolerance relaxed).
+    /// how hard the solver had to work and whether the result is
+    /// degraded (a breakdown rescued by the hardened retry).
     ///
     /// # Errors
     ///
     /// [`CoreError::Unstable`] when `λ ≥ ν̄`; otherwise supervisor
-    /// failures from the QBD layer (exhausted chain, deadline, invalid
-    /// supervisor options).
+    /// failures from the QBD layer (rejected G, deadline, a negative
+    /// mean queue length, invalid supervisor options).
     pub fn solve_supervised(
         &self,
         options: SupervisorOptions,
@@ -260,7 +261,6 @@ impl ClusterModel {
             performa_obs::TraceLevel::Info,
             "core.solved",
             vec![
-                ("strategy", report.strategy.name().into()),
                 ("degraded", report.degraded.into()),
                 ("residual", report.residual.into()),
             ],

@@ -35,11 +35,15 @@ pub enum QbdError {
         message: String,
     },
     /// A numerical watchdog detected non-finite values (NaN/Inf) inside
-    /// an iterative stage and aborted it before the poison could spread.
+    /// an iterative stage and aborted it before the poison could spread,
+    /// or a supervised solve produced a result outside its domain: a
+    /// non-finite `R` (stage `"R computation"`), or a negative or
+    /// non-finite mean queue length (stage `"boundary solve"`).
     NumericalBreakdown {
-        /// Stage name, e.g. `"neuts"`.
+        /// Stage name, e.g. `"logred"`.
         stage: &'static str,
-        /// Iteration at which the non-finite value appeared.
+        /// Iteration at which the bad value appeared (0 for the one-shot
+        /// `R` and boundary solves).
         iteration: usize,
     },
     /// A wall-clock deadline expired before any solver stage converged.
@@ -85,7 +89,7 @@ impl fmt::Display for QbdError {
             }
             QbdError::NumericalBreakdown { stage, iteration } => write!(
                 f,
-                "{stage} produced non-finite values at iteration {iteration}"
+                "{stage} produced non-finite or out-of-range values at iteration {iteration}"
             ),
             QbdError::DeadlineExceeded { stage, iterations } => write!(
                 f,

@@ -4,17 +4,19 @@
 //! `fault-injection` feature; release builds therefore pay nothing for
 //! the hooks. With the feature enabled, tests arm a thread-local
 //! [`FaultPlan`] describing which G-matrix stage to sabotage and how,
-//! then run [`crate::SolverSupervisor::solve`] and assert that the
-//! watchdogs catch the corruption and the fallback chain recovers:
+//! then run [`crate::SolverSupervisor::solve`] (or a sweep) and assert
+//! that the watchdogs catch the corruption and the solve recovers or
+//! fails with a typed error:
 //!
 //! * **poison** — overwrite one entry of the iterate with NaN at a given
-//!   `(stage, iteration)`; the NaN watchdog must abort the stage.
+//!   `(stage, iteration)`; the NaN watchdog must abort the stage, and
+//!   the supervisor retries it once fully hardened.
 //! * **stall** — suppress the convergence test of a stage so it burns its
-//!   whole iteration budget; the supervisor must fall back (or, with a
-//!   deadline set, report `DeadlineExceeded`).
+//!   whole iteration budget; the supervisor must fail with
+//!   `NoConvergence` (or, with a deadline set, `DeadlineExceeded`).
 //!
-//! Stage keys are `"neuts"`, `"functional"` and `"logred"` (see
-//! [`crate::GStrategy::key`]).
+//! Stage keys are `"logred"` (the supervisor's and the plain solve's
+//! stage), `"functional"` (warm starts) and `"neuts"`.
 
 #[cfg(feature = "fault-injection")]
 mod imp {

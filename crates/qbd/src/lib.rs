@@ -19,10 +19,9 @@
 //! queue-length tail probabilities `Pr(Q > k)` and the full pmf.
 //!
 //! * [`Qbd`] — model definition + [`Qbd::solve`] via logarithmic reduction,
-//! * [`SolverSupervisor`] — resilient solves: a configurable G-matrix
-//!   fallback chain (logarithmic reduction → Neuts substitution →
-//!   functional iteration) with NaN/Inf watchdogs, reported tolerance
-//!   relaxation, condition-number surveillance and a [`SolveReport`],
+//! * [`SolverSupervisor`] — resilient solves: logarithmic reduction
+//!   with NaN/Inf watchdogs and one hardened retry after a breakdown,
+//!   condition-number surveillance and a [`SolveReport`],
 //! * [`QbdSolution`] — the stationary law and derived metrics,
 //! * [`LevelDependentQbd`] — finitely many inhomogeneous boundary levels
 //!   (used for the load-dependent cluster variant of paper Sect. 2.4),
@@ -71,11 +70,11 @@ pub mod mm1;
 pub use error::QbdError;
 pub use finite::{FiniteQbd, FiniteSolution};
 pub use level_dep::{LevelDependentQbd, LevelDependentSolution};
-pub use qbd::{DriftClass, Hardening, Qbd, SolveOptions};
+pub use qbd::{Hardening, Qbd, SolveOptions};
 pub use solution::QbdSolution;
 pub use supervisor::{
-    GStrategy, SolveReport, SolveWarning, SolverSupervisor, StageAttempt, StageBudget,
-    StageFailureReason, StageOutcome, SupervisorOptions,
+    SolveReport, SolveWarning, SolverSupervisor, StageAttempt, StageFailureReason, StageOutcome,
+    SupervisorOptions,
 };
 
 /// Result alias for fallible QBD operations.

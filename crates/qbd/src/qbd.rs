@@ -246,20 +246,6 @@ impl FromStr for Hardening {
     }
 }
 
-/// Drift classification of a QBD, produced by [`Qbd::classify_drift`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftClass {
-    /// `ρ` comfortably below one: the default solver path suffices.
-    PositiveRecurrent,
-    /// `ρ` within the margin of one: recurrent, but the unit eigenvalue
-    /// of `A0+A1+A2` nearly collides with the decay eigenvalue and the
-    /// unshifted iterations lose their convergence rate — harden from
-    /// the start.
-    NearNullRecurrent,
-    /// `ρ ≥ 1`: no stationary distribution exists.
-    Unstable,
-}
-
 /// Options controlling the iterative stages of [`Qbd::solve`].
 ///
 /// `#[non_exhaustive]` — construct via [`SolveOptions::default`] (or
@@ -645,25 +631,6 @@ impl Qbd {
         Ok(up < down)
     }
 
-    /// Drift pre-check: classifies the chain by `ρ = φ·A0·ε / φ·A2·ε`,
-    /// with `margin` defining the near-null-recurrent band
-    /// `1 − margin < ρ < 1` where the unshifted `G` iterations lose
-    /// their convergence rate and hardening should be on from the start.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Qbd::drift`] errors.
-    pub fn classify_drift(&self, margin: f64) -> Result<DriftClass> {
-        let (up, down) = self.drift()?;
-        if up >= down {
-            Ok(DriftClass::Unstable)
-        } else if up > (1.0 - margin) * down {
-            Ok(DriftClass::NearNullRecurrent)
-        } else {
-            Ok(DriftClass::PositiveRecurrent)
-        }
-    }
-
     /// Recurrence gate for the spectral shift: the deflation assumes
     /// `Gε = ε`, which only holds for recurrent chains. A shifted solve
     /// on an unstable chain would silently converge to a wrong `G`, so
@@ -981,8 +948,8 @@ impl Qbd {
     /// matrix-analytic iteration. Linearly convergent but markedly faster
     /// than plain functional iteration (each step re-solves against the
     /// current `U = A1 + A0·G`), and it requires no spectral assumptions
-    /// beyond stability, which makes it the most forgiving opening stage
-    /// of the fallback chain.
+    /// beyond stability, which makes it the independent reference the
+    /// property tests hold logarithmic reduction to.
     ///
     /// # Errors
     ///
@@ -1678,22 +1645,6 @@ mod tests {
             qbd.g_matrix_neuts_with(opts),
             Err(QbdError::Unstable { .. })
         ));
-    }
-
-    #[test]
-    fn drift_classification_bands() {
-        assert_eq!(
-            mm1(0.5, 1.0).classify_drift(0.02).unwrap(),
-            DriftClass::PositiveRecurrent
-        );
-        assert_eq!(
-            mm1(0.995, 1.0).classify_drift(0.02).unwrap(),
-            DriftClass::NearNullRecurrent
-        );
-        assert_eq!(
-            mm1(2.0, 1.0).classify_drift(0.02).unwrap(),
-            DriftClass::Unstable
-        );
     }
 
     #[test]

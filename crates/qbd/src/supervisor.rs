@@ -1,35 +1,34 @@
-//! Resilient solver supervision: fallback chains, watchdogs and solve
-//! reports.
+//! Resilient solver supervision: one logarithmic-reduction ladder,
+//! watchdogs and solve reports.
 //!
-//! [`SolverSupervisor`] wraps a [`Qbd`] and drives its G-matrix stages
-//! through a configurable fallback chain — by default logarithmic
-//! reduction first (quadratically convergent), then Neuts successive
-//! substitution and functional iteration as conservative fallbacks — with
+//! [`SolverSupervisor`] wraps a [`Qbd`] and computes its `G` matrix by
+//! logarithmic reduction (quadratically convergent): one attempt at the
+//! requested tolerance — fully hardened from the start in the
+//! near-null-recurrent band — and, if it breaks down
+//! ([`QbdError::NumericalBreakdown`]), exactly one retry with
+//! [`Hardening::full`]. Every other rejection, and a rejected retry,
+//! ends the solve with a typed [`QbdError::NoConvergence`]. Around this
+//! ladder sit
 //!
-//! * per-stage iteration budgets and a global residual acceptance test
+//! * NaN/Inf watchdogs that abort a poisoned attempt early instead of
+//!   letting non-finite values propagate into the boundary solve,
+//! * a global residual acceptance test
 //!   (`‖A2 + A1·G + A0·G²‖∞ ≤ tol·scale`),
-//! * NaN/Inf watchdogs that abort a poisoned stage early
-//!   ([`QbdError::NumericalBreakdown`]) instead of letting non-finite
-//!   values propagate into the boundary solve,
-//! * automatic tolerance relaxation — reported via
-//!   [`SolveWarning::ToleranceRelaxed`], never silent — when no stage
-//!   meets the requested tolerance,
-//! * a read-only stochasticity guard: each stage's `G` is judged
-//!   exactly as the stage returned it, and one that drifted off the
-//!   stochastic set beyond [`SupervisorOptions::drift_cap`] fails the
-//!   stage (it is never rescaled),
+//! * a read-only stochasticity guard: `G` is judged exactly as the
+//!   attempt returned it, and one that drifted off the stochastic set
+//!   by more than `1e-2` is rejected (it is never rescaled),
 //! * cooperative interruption through a [`Stop`]
 //!   ([`QbdError::Cancelled`], [`QbdError::DeadlineExceeded`]),
 //! * condition-number surveillance of the `R` and boundary linear systems
 //!   ([`SolveWarning::IllConditioned`], fed by the LU condition
-//!   estimator in `performa-linalg`).
+//!   estimator in `performa-linalg`),
+//! * a sign check on the mean queue length of the assembled solution.
 //!
-//! Every successful solve returns a [`SolveReport`] stating which
-//! strategy produced the answer, how hard it had to work, the final true
-//! residual, and whether the result is *degraded* (a fallback or a
-//! tolerance relaxation was needed). Callers that must distinguish
-//! "exact" from "degraded-but-bounded" — e.g. the CLI's exit codes —
-//! read [`SolveReport::degraded`].
+//! Every successful solve returns a [`SolveReport`] stating how hard it
+//! had to work, the final true residual, and whether the result is
+//! *degraded* (a breakdown was rescued by the hardened retry). Callers
+//! that must distinguish "exact" from "degraded-but-bounded" — e.g. the
+//! CLI's exit codes — read [`SolveReport::degraded`].
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -41,117 +40,28 @@ use crate::qbd::{all_finite, Hardening, Qbd};
 use crate::solution::QbdSolution;
 use crate::{QbdError, Result};
 
-/// The G-matrix algorithms the supervisor can chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum GStrategy {
-    /// Neuts' successive substitution `G ← (−(A1 + A0·G))⁻¹·A2`.
-    NeutsSubstitution,
-    /// Plain functional iteration `G ← (−A1)⁻¹(A2 + A0·G²)`.
-    FunctionalIteration,
-    /// Logarithmic reduction (Latouche & Ramaswami), quadratically
-    /// convergent.
-    LogarithmicReduction,
-}
+/// Width of the near-null-recurrent band: a drift ratio `ρ = up/down`
+/// above `1 − SATURATION_MARGIN` is reported as
+/// [`SolveWarning::NearSaturation`] and solved fully hardened.
+const SATURATION_MARGIN: f64 = 0.02;
 
-impl GStrategy {
-    /// Short machine-readable key, also the fault-injection stage key:
-    /// `"neuts"`, `"functional"` or `"logred"`.
-    pub fn key(self) -> &'static str {
-        match self {
-            GStrategy::NeutsSubstitution => "neuts",
-            GStrategy::FunctionalIteration => "functional",
-            GStrategy::LogarithmicReduction => "logred",
-        }
-    }
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            GStrategy::NeutsSubstitution => "Neuts successive substitution",
-            GStrategy::FunctionalIteration => "functional iteration",
-            GStrategy::LogarithmicReduction => "logarithmic reduction",
-        }
-    }
-
-    /// Parses a key as produced by [`GStrategy::key`] (also accepts a few
-    /// aliases: `"lr"`, `"log-reduction"`, `"fi"`, `"ss"`).
-    pub fn parse(s: &str) -> Option<GStrategy> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "neuts" | "ss" | "substitution" => Some(GStrategy::NeutsSubstitution),
-            "functional" | "fi" => Some(GStrategy::FunctionalIteration),
-            "logred" | "lr" | "log-reduction" | "logarithmic" => {
-                Some(GStrategy::LogarithmicReduction)
-            }
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for GStrategy {
-    /// Displays the machine-readable key (round-trips through
-    /// [`FromStr`]); use [`GStrategy::name`] for human-facing text.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.key())
-    }
-}
-
-impl std::str::FromStr for GStrategy {
-    type Err = QbdError;
-
-    /// Parses a strategy key or alias (see [`GStrategy::parse`]); the
-    /// inverse of [`Display`](fmt::Display).
-    fn from_str(s: &str) -> Result<GStrategy> {
-        GStrategy::parse(s).ok_or_else(|| QbdError::InvalidParameter {
-            message: format!("unknown strategy '{s}' (expected neuts, functional or logred)"),
-        })
-    }
-}
-
-/// One stage of the fallback chain: a strategy plus its iteration budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageBudget {
-    /// Algorithm to run.
-    pub strategy: GStrategy,
-    /// Maximum iterations before the stage is declared failed.
-    pub max_iterations: usize,
-}
-
-impl StageBudget {
-    /// Convenience constructor.
-    pub fn new(strategy: GStrategy, max_iterations: usize) -> Self {
-        StageBudget {
-            strategy,
-            max_iterations,
-        }
-    }
-}
+/// Largest stochasticity drift of `G` (negative entry or row-sum
+/// deviation) an attempt may return. The guard only rejects: an
+/// accepted `G` is never rewritten.
+const DRIFT_CAP: f64 = 1e-2;
 
 /// Configuration of a [`SolverSupervisor`].
 #[derive(Debug, Clone)]
 pub struct SupervisorOptions {
-    /// Fallback chain, tried in order at each tolerance level.
-    pub chain: Vec<StageBudget>,
     /// Requested convergence tolerance (iterate difference, and residual
     /// acceptance scaled by the block norms).
     pub tolerance: f64,
-    /// How many times the tolerance may be relaxed (each relaxation is
-    /// reported; 0 disables relaxation).
-    pub max_relaxations: u32,
-    /// Multiplicative factor applied to the tolerance per relaxation.
-    pub relaxation_factor: f64,
-    /// Emit [`SolveWarning::NearSaturation`] when the drift ratio
-    /// `ρ = up/down` exceeds `1 − saturation_margin`.
-    pub saturation_margin: f64,
+    /// Iteration budget of each logarithmic-reduction attempt.
+    pub max_iterations: usize,
     /// Emit [`SolveWarning::IllConditioned`] when a linear-system
     /// condition estimate exceeds this threshold.
     pub condition_threshold: f64,
-    /// Largest stochasticity drift of `G` (negative entry or row-sum
-    /// deviation) a stage may return; beyond it the stage is declared
-    /// failed. The guard only rejects: an accepted `G` is never
-    /// rewritten.
-    pub drift_cap: f64,
-    /// Interruption of the whole solve, probed between stages and
+    /// Interruption of the whole solve, probed between attempts and
     /// inside every counted iteration loop (at the amortized check
     /// stride). An expired deadline aborts with
     /// [`QbdError::DeadlineExceeded`]; cancellation aborts with
@@ -159,37 +69,23 @@ pub struct SupervisorOptions {
     /// the point's difficulty, so it is never retried. The default never
     /// fires.
     pub stop: Stop,
-    /// Baseline numerical hardening for every stage. Independent of
-    /// this setting the supervisor escalates to [`Hardening::full`] —
+    /// Baseline numerical hardening of the first attempt. Independent
+    /// of this setting the supervisor escalates to [`Hardening::full`] —
     /// always reported via [`SolveWarning::Hardened`] — when the drift
-    /// classifier puts the chain in the near-null-recurrent band or a
-    /// stage dies of [`QbdError::NumericalBreakdown`].
+    /// ratio puts the chain in the near-null-recurrent band or the
+    /// attempt dies of [`QbdError::NumericalBreakdown`].
     pub hardening: Hardening,
 }
 
 impl Default for SupervisorOptions {
     fn default() -> Self {
         SupervisorOptions {
-            // Quadratically convergent logarithmic reduction leads; the
-            // linearly convergent iterations are conservative fallbacks
-            // for when it breaks down. Near blow-up points the linear
-            // schemes need tens of thousands of iterations, so leading
-            // with them would make every hard solve slow AND "degraded".
-            chain: vec![
-                StageBudget::new(GStrategy::LogarithmicReduction, 200),
-                StageBudget::new(GStrategy::NeutsSubstitution, 5_000),
-                StageBudget::new(GStrategy::FunctionalIteration, 50_000),
-            ],
             // Residual acceptance is `tolerance × Σ‖Ai‖∞`. 1e-10 is the
             // tightest level reliably attainable in f64 for the paper's
-            // 50+-phase blocks; demanding more forces a reported
-            // relaxation on every solve.
+            // 50+-phase blocks.
             tolerance: 1e-10,
-            max_relaxations: 2,
-            relaxation_factor: 100.0,
-            saturation_margin: 0.02,
+            max_iterations: 200,
             condition_threshold: 1e12,
-            drift_cap: 1e-2,
             stop: Stop::default(),
             hardening: Hardening::default(),
         }
@@ -197,21 +93,6 @@ impl Default for SupervisorOptions {
 }
 
 impl SupervisorOptions {
-    /// Cross-validation ordering: the two classical fixed-point
-    /// iterations first, logarithmic reduction last. Slower than the
-    /// default but exercises the historically best-understood schemes
-    /// before the aggressive one; useful for ablations.
-    pub fn reference() -> Self {
-        SupervisorOptions {
-            chain: vec![
-                StageBudget::new(GStrategy::NeutsSubstitution, 5_000),
-                StageBudget::new(GStrategy::FunctionalIteration, 50_000),
-                StageBudget::new(GStrategy::LogarithmicReduction, 200),
-            ],
-            ..SupervisorOptions::default()
-        }
-    }
-
     /// Sets the requested tolerance.
     pub fn with_tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = tolerance;
@@ -224,44 +105,25 @@ impl SupervisorOptions {
         self
     }
 
-    /// Replaces the fallback chain.
-    pub fn with_chain(mut self, chain: Vec<StageBudget>) -> Self {
-        self.chain = chain;
-        self
-    }
-
-    /// Sets the baseline hardening applied to every stage.
+    /// Sets the baseline hardening of the first attempt.
     pub fn with_hardening(mut self, hardening: Hardening) -> Self {
         self.hardening = hardening;
         self
     }
 
     fn validate(&self) -> Result<()> {
-        if self.chain.is_empty() {
-            return Err(QbdError::InvalidParameter {
-                message: "supervisor chain must contain at least one stage".into(),
-            });
-        }
         if !(self.tolerance.is_finite() && self.tolerance > 0.0) {
             return Err(QbdError::InvalidParameter {
                 message: format!("tolerance must be positive finite, got {}", self.tolerance),
-            });
-        }
-        if !(self.relaxation_factor.is_finite() && self.relaxation_factor > 1.0) {
-            return Err(QbdError::InvalidParameter {
-                message: format!(
-                    "relaxation factor must exceed 1, got {}",
-                    self.relaxation_factor
-                ),
             });
         }
         Ok(())
     }
 }
 
-/// Why a stage of the fallback chain was rejected — every cause carries
-/// its numeric evidence, so reports and trace events never degrade to
-/// free-form strings.
+/// Why a logarithmic-reduction attempt was rejected — every cause
+/// carries its numeric evidence, so reports and trace events never
+/// degrade to free-form strings.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum StageFailureReason {
@@ -277,7 +139,7 @@ pub enum StageFailureReason {
         /// Iteration at which the breakdown was detected.
         iteration: usize,
     },
-    /// The stage converged in its own metric but the true residual
+    /// The attempt converged in its own metric but the true residual
     /// `‖A2 + A1·G + A0·G²‖∞` exceeds the acceptance budget.
     ResidualAboveBudget {
         /// True residual of the candidate `G`.
@@ -290,11 +152,11 @@ pub enum StageFailureReason {
     StochasticDrift {
         /// Observed drift.
         drift: f64,
-        /// Configured cap.
+        /// Drift cap in force.
         cap: f64,
     },
     /// A linear-algebra failure (singular system, invalid blocks, …)
-    /// inside the stage.
+    /// inside the attempt.
     Linalg {
         /// Rendered error message of the underlying failure.
         message: String,
@@ -377,8 +239,8 @@ impl fmt::Display for StageFailureReason {
 
 /// A non-fatal condition observed during a supervised solve. Warnings are
 /// always surfaced in the [`SolveReport`]; the supervisor never repairs
-/// a `G` and never relaxes silently. Each warning is also emitted as a
-/// structured trace event carrying the same numeric payload.
+/// a `G`. Each warning is also emitted as a structured trace event
+/// carrying the same numeric payload.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SolveWarning {
@@ -388,18 +250,9 @@ pub enum SolveWarning {
         /// Drift ratio `up/down`.
         rho: f64,
     },
-    /// No stage met the requested tolerance; the reported solution
-    /// satisfies only the relaxed one.
-    ToleranceRelaxed {
-        /// Originally requested tolerance.
-        requested: f64,
-        /// Tolerance actually achieved.
-        used: f64,
-    },
-    /// A stage of the fallback chain failed and the supervisor moved on.
+    /// A logarithmic-reduction attempt was rejected; only a breakdown
+    /// is followed by the hardened retry.
     StageFailed {
-        /// Strategy that failed.
-        strategy: GStrategy,
         /// Typed failure cause with its numeric evidence.
         reason: StageFailureReason,
     },
@@ -417,7 +270,7 @@ pub enum SolveWarning {
     /// silently.
     Hardened {
         /// What engaged it: `"near_null_recurrent"` (drift pre-check),
-        /// `"numerical_breakdown"` (stage retry) or `"ill_conditioned"`
+        /// `"numerical_breakdown"` (the retry) or `"ill_conditioned"`
         /// (refined `R` recompute).
         cause: &'static str,
     },
@@ -435,14 +288,9 @@ impl SolveWarning {
                 "qbd.near_saturation",
                 vec![("rho", (*rho).into())],
             ),
-            SolveWarning::ToleranceRelaxed { requested, used } => event(
-                TraceLevel::Warn,
-                "qbd.tolerance_relaxed",
-                vec![("requested", (*requested).into()), ("used", (*used).into())],
-            ),
-            SolveWarning::StageFailed { strategy, reason } => {
+            SolveWarning::StageFailed { reason } => {
                 let mut fields = vec![
-                    ("strategy", performa_obs::Value::from(strategy.key())),
+                    ("strategy", performa_obs::Value::from("logred")),
                     ("reason", reason.kind().into()),
                 ];
                 if let Some(v) = reason.magnitude() {
@@ -453,7 +301,10 @@ impl SolveWarning {
             SolveWarning::IllConditioned { context, estimate } => event(
                 TraceLevel::Warn,
                 "qbd.ill_conditioned",
-                vec![("context", (*context).into()), ("estimate", (*estimate).into())],
+                vec![
+                    ("context", (*context).into()),
+                    ("estimate", (*estimate).into()),
+                ],
             ),
             SolveWarning::Hardened { cause } => event(
                 TraceLevel::Warn,
@@ -470,56 +321,37 @@ impl fmt::Display for SolveWarning {
             SolveWarning::NearSaturation { rho } => {
                 write!(f, "near saturation: drift ratio rho = {rho:.6}")
             }
-            SolveWarning::ToleranceRelaxed { requested, used } => write!(
-                f,
-                "tolerance relaxed from {requested:.3e} to {used:.3e}"
-            ),
-            SolveWarning::StageFailed { strategy, reason } => {
-                write!(f, "stage '{strategy}' failed: {reason}")
+            SolveWarning::StageFailed { reason } => {
+                write!(f, "stage 'logred' failed: {reason}")
             }
-            SolveWarning::IllConditioned { context, estimate } => write!(
-                f,
-                "{context} is ill-conditioned (estimate {estimate:.3e})"
-            ),
-            SolveWarning::Hardened { cause } => write!(
-                f,
-                "numerical hardening engaged (cause: {cause})"
-            ),
+            SolveWarning::IllConditioned { context, estimate } => {
+                write!(f, "{context} is ill-conditioned (estimate {estimate:.3e})")
+            }
+            SolveWarning::Hardened { cause } => {
+                write!(f, "numerical hardening engaged (cause: {cause})")
+            }
         }
     }
 }
 
-/// How one attempted stage ended.
+/// Emits `w` and records it in the report's warning list.
+fn warn(warnings: &mut Vec<SolveWarning>, w: SolveWarning) {
+    w.emit();
+    warnings.push(w);
+}
+
+/// How one attempt ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StageOutcome {
     /// The attempt produced the accepted `G`.
     Converged,
-    /// The wall-clock budget expired during the attempt.
-    DeadlineExceeded,
-    /// A cooperative cancellation request arrived during the attempt.
-    Cancelled,
-    /// The stage was rejected for the attached reason.
+    /// The attempt was rejected for the attached reason.
     Failed(StageFailureReason),
 }
 
-impl fmt::Display for StageOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StageOutcome::Converged => f.write_str("converged"),
-            StageOutcome::DeadlineExceeded => f.write_str("deadline exceeded"),
-            StageOutcome::Cancelled => f.write_str("cancelled"),
-            StageOutcome::Failed(reason) => reason.fmt(f),
-        }
-    }
-}
-
-/// Record of one attempted stage (successful or not).
+/// Record of one logarithmic-reduction attempt (successful or not).
 #[derive(Debug, Clone)]
 pub struct StageAttempt {
-    /// Strategy attempted.
-    pub strategy: GStrategy,
-    /// Tolerance in force for this attempt.
-    pub tolerance: f64,
     /// Iterations spent.
     pub iterations: usize,
     /// Whether the attempt ran with any [`Hardening`] mitigation.
@@ -533,29 +365,27 @@ pub struct StageAttempt {
 /// Diagnostics of a supervised solve.
 #[derive(Debug, Clone)]
 pub struct SolveReport {
-    /// Strategy that produced the accepted `G`.
-    pub strategy: GStrategy,
-    /// Iterations of the winning stage.
+    /// Iterations of the accepted attempt.
     pub iterations: usize,
-    /// Iterations summed over every attempted stage.
+    /// Iterations summed over every attempt.
     pub total_iterations: usize,
     /// Final true residual `‖A2 + A1·G + A0·G²‖∞`.
     pub residual: f64,
     /// Tolerance the caller asked for.
     pub tolerance_requested: f64,
-    /// Tolerance the accepted solve satisfied (differs only after
-    /// relaxation, which is always reported).
+    /// Tolerance the accepted solve satisfied: always
+    /// [`SolveReport::tolerance_requested`], which is never relaxed.
     pub tolerance_used: f64,
     /// Largest 1-norm condition estimate among the `R` and boundary
     /// systems.
     pub condition_estimate: f64,
-    /// `true` when a fallback or a tolerance relaxation was needed: the
-    /// result is still bounded (residual and warnings say how) but not
-    /// the first-choice exact solve.
+    /// `true` when the first attempt broke down and the hardened retry
+    /// produced the answer: the result is still bounded (residual and
+    /// warnings say how) but not the first-choice exact solve.
     pub degraded: bool,
     /// Everything the watchdogs observed.
     pub warnings: Vec<SolveWarning>,
-    /// Per-stage attempt log, in execution order.
+    /// Per-attempt log, in execution order.
     pub attempts: Vec<StageAttempt>,
     /// Wall-clock time of the whole solve.
     pub elapsed: Duration,
@@ -568,8 +398,7 @@ impl SolveReport {
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} in {} iteration(s), residual {:.3e}{}{}",
-            self.strategy.name(),
+            "logarithmic reduction in {} iteration(s), residual {:.3e}{}{}",
             self.iterations,
             self.residual,
             if self.degraded { " [degraded]" } else { "" },
@@ -626,26 +455,27 @@ impl SolverSupervisor {
         &self.options
     }
 
-    /// Runs the fallback chain and assembles the stationary solution.
+    /// Runs the `G` ladder and assembles the stationary solution.
     ///
     /// # Errors
     ///
     /// * [`QbdError::Unstable`] — no stationary distribution exists.
-    /// * [`QbdError::NoConvergence`] — every stage at every tolerance
-    ///   level failed.
+    /// * [`QbdError::NoConvergence`] — the attempt was rejected (drift,
+    ///   residual above budget, exhausted budget or a linear-algebra
+    ///   failure), or so was the hardened retry that follows a
+    ///   breakdown.
     /// * [`QbdError::Cancelled`] / [`QbdError::DeadlineExceeded`] — the
     ///   options' [`Stop`] fired first.
     /// * [`QbdError::InvalidParameter`] — malformed options.
     /// * [`QbdError::Linalg`] / [`QbdError::NumericalBreakdown`] — from
-    ///   the boundary stage (G-stage breakdowns trigger fallback
-    ///   instead).
+    ///   the `R` and boundary solves, including a negative or non-finite
+    ///   mean queue length (`"boundary solve"`).
     pub fn solve(&self) -> Result<(QbdSolution, SolveReport)> {
         self.options.validate()?;
         let _solve_span = performa_obs::span_with(
             "qbd.solve",
             vec![
                 ("phases", self.qbd.phase_dim().into()),
-                ("stages", self.options.chain.len().into()),
                 ("tolerance", self.options.tolerance.into()),
                 ("kernel", self.qbd.kernel_tag().into()),
             ],
@@ -660,19 +490,15 @@ impl SolverSupervisor {
             });
         }
         let mut warnings: Vec<SolveWarning> = Vec::new();
-        let warn = |warnings: &mut Vec<SolveWarning>, w: SolveWarning| {
-            w.emit();
-            warnings.push(w);
-        };
         let rho = up / down;
-        let mut base_hardening = self.options.hardening;
-        if rho > 1.0 - self.options.saturation_margin {
+        let mut hardening = self.options.hardening;
+        if rho > 1.0 - SATURATION_MARGIN {
             warn(&mut warnings, SolveWarning::NearSaturation { rho });
-            // Near null recurrence the unshifted iterations stall or
-            // overflow; harden every stage from the start rather than
-            // waiting for the breakdown retry.
-            if base_hardening != Hardening::full() {
-                base_hardening = Hardening::full();
+            // Near null recurrence the unshifted iteration stalls or
+            // overflows; harden from the start rather than waiting for
+            // the breakdown retry.
+            if hardening != Hardening::full() {
+                hardening = Hardening::full();
                 warn(
                     &mut warnings,
                     SolveWarning::Hardened {
@@ -684,222 +510,21 @@ impl SolverSupervisor {
 
         // Residual acceptance is scaled by the block magnitudes so the
         // tolerance means the same thing regardless of rate units.
-        let scale = (self.qbd.a0().norm_inf()
-            + self.qbd.a1().norm_inf()
-            + self.qbd.a2().norm_inf())
-        .max(1.0);
-
+        let scale =
+            (self.qbd.a0().norm_inf() + self.qbd.a1().norm_inf() + self.qbd.a2().norm_inf())
+                .max(1.0);
         let mut attempts: Vec<StageAttempt> = Vec::new();
-        let mut accepted: Option<(Matrix, GStrategy, usize, f64, f64)> = None;
-        let mut best_residual = f64::INFINITY;
-        let mut interrupt: Option<Interrupt> = None;
-
-        let mut accepted_hardening = base_hardening;
-        'levels: for level in 0..=self.options.max_relaxations {
-            let tol = self.options.tolerance * self.options.relaxation_factor.powi(level as i32);
-            'stages: for stage in &self.options.chain {
-                interrupt = self.options.stop.probe();
-                if interrupt.is_some() {
-                    break 'levels;
-                }
-                // The recovery ladder within one stage: a first run at
-                // the baseline hardening, and on NumericalBreakdown one
-                // retry with every mitigation on before falling back to
-                // the next strategy.
-                let mut hardening = base_hardening;
-                loop {
-                    let _attempt_span = performa_obs::span_with(
-                        "qbd.attempt",
-                        vec![
-                            ("strategy", stage.strategy.key().into()),
-                            ("tolerance", tol.into()),
-                            ("relaxation", level.into()),
-                            ("hardened", hardening.any().into()),
-                        ],
-                    );
-                    // Arm the flight recorder for this attempt: if the
-                    // stage trips a watchdog or falls back, the last K
-                    // iteration records are dumped as qbd.flight events.
-                    performa_obs::flight::begin(stage.strategy.key(), hardening.any());
-                    let outcome = self.run_stage(*stage, tol, hardening);
-                    match outcome {
-                        Ok((g, iters)) => {
-                            let drift = stochastic_drift(&g);
-                            if drift > self.options.drift_cap {
-                                let reason = StageFailureReason::StochasticDrift {
-                                    drift,
-                                    cap: self.options.drift_cap,
-                                };
-                                attempts.push(StageAttempt {
-                                    strategy: stage.strategy,
-                                    tolerance: tol,
-                                    iterations: iters,
-                                    hardened: hardening.any(),
-                                    converged: false,
-                                    outcome: StageOutcome::Failed(reason.clone()),
-                                });
-                                warn(
-                                    &mut warnings,
-                                    SolveWarning::StageFailed {
-                                        strategy: stage.strategy,
-                                        reason,
-                                    },
-                                );
-                                performa_obs::flight::dump("stage_failed");
-                                continue 'stages;
-                            }
-                            let residual = self.qbd.g_residual(&g);
-                            best_residual = best_residual.min(residual);
-                            if residual <= tol * scale {
-                                performa_obs::event(
-                                    performa_obs::TraceLevel::Info,
-                                    "qbd.converged",
-                                    vec![
-                                        ("strategy", stage.strategy.key().into()),
-                                        ("iterations", iters.into()),
-                                        ("residual", residual.into()),
-                                        ("drift", drift.into()),
-                                    ],
-                                );
-                                attempts.push(StageAttempt {
-                                    strategy: stage.strategy,
-                                    tolerance: tol,
-                                    iterations: iters,
-                                    hardened: hardening.any(),
-                                    converged: true,
-                                    outcome: StageOutcome::Converged,
-                                });
-                                accepted = Some((g, stage.strategy, iters, residual, tol));
-                                accepted_hardening = hardening;
-                                break 'levels;
-                            }
-                            let reason = StageFailureReason::ResidualAboveBudget {
-                                residual,
-                                budget: tol * scale,
-                            };
-                            attempts.push(StageAttempt {
-                                strategy: stage.strategy,
-                                tolerance: tol,
-                                iterations: iters,
-                                hardened: hardening.any(),
-                                converged: false,
-                                outcome: StageOutcome::Failed(reason.clone()),
-                            });
-                            warn(
-                                &mut warnings,
-                                SolveWarning::StageFailed {
-                                    strategy: stage.strategy,
-                                    reason,
-                                },
-                            );
-                            performa_obs::flight::dump("stage_failed");
-                            continue 'stages;
-                        }
-                        Err(e) => {
-                            if let Some((why, iterations)) = e.interrupt() {
-                                let (event, outcome) = match why {
-                                    Interrupt::Cancelled => {
-                                        ("qbd.cancelled", StageOutcome::Cancelled)
-                                    }
-                                    Interrupt::DeadlineExceeded => {
-                                        ("qbd.deadline", StageOutcome::DeadlineExceeded)
-                                    }
-                                };
-                                performa_obs::event(
-                                    performa_obs::TraceLevel::Warn,
-                                    event,
-                                    vec![
-                                        ("strategy", stage.strategy.key().into()),
-                                        ("iterations", iterations.into()),
-                                    ],
-                                );
-                                attempts.push(StageAttempt {
-                                    strategy: stage.strategy,
-                                    tolerance: tol,
-                                    iterations,
-                                    hardened: hardening.any(),
-                                    converged: false,
-                                    outcome,
-                                });
-                                if why == Interrupt::Cancelled {
-                                    // Preserve the abandoned attempt's tail
-                                    // for the post-mortem before the drain
-                                    // discards this point.
-                                    performa_obs::flight::dump("cancelled");
-                                }
-                                interrupt = Some(why);
-                                break 'levels;
-                            }
-                            let iterations = match e {
-                                QbdError::NoConvergence { iterations, .. } => iterations,
-                                QbdError::NumericalBreakdown { iteration, .. } => iteration,
-                                _ => 0,
-                            };
-                            let breakdown =
-                                matches!(e, QbdError::NumericalBreakdown { .. });
-                            let reason = StageFailureReason::from_error(&e);
-                            attempts.push(StageAttempt {
-                                strategy: stage.strategy,
-                                tolerance: tol,
-                                iterations,
-                                hardened: hardening.any(),
-                                converged: false,
-                                outcome: StageOutcome::Failed(reason.clone()),
-                            });
-                            warn(
-                                &mut warnings,
-                                SolveWarning::StageFailed {
-                                    strategy: stage.strategy,
-                                    reason,
-                                },
-                            );
-                            if breakdown && hardening != Hardening::full() {
-                                hardening = Hardening::full();
-                                warn(
-                                    &mut warnings,
-                                    SolveWarning::Hardened {
-                                        cause: "numerical_breakdown",
-                                    },
-                                );
-                                // A watchdog trip already dumped the ring
-                                // mid-stage; this covers hardening after a
-                                // non-watchdog breakdown path.
-                                performa_obs::flight::dump("hardened");
-                                continue;
-                            }
-                            performa_obs::flight::dump("stage_failed");
-                            continue 'stages;
-                        }
-                    }
-                }
-            }
-        }
-
-        let total_iterations: usize = attempts.iter().map(|a| a.iterations).sum();
-        let Some((g, strategy, iterations, residual, tol_used)) = accepted else {
-            return Err(match interrupt {
-                Some(why) => QbdError::interrupted(why, "solver supervisor", total_iterations),
-                None => QbdError::NoConvergence {
-                    stage: "solver supervisor",
-                    iterations: total_iterations,
-                    residual: best_residual,
-                },
-            });
-        };
-        if tol_used > self.options.tolerance {
-            warn(
-                &mut warnings,
-                SolveWarning::ToleranceRelaxed {
-                    requested: self.options.tolerance,
-                    used: tol_used,
-                },
-            );
-        }
+        let (g, iterations, residual, hardening) = self.accept_g(
+            hardening,
+            self.options.tolerance * scale,
+            &mut attempts,
+            &mut warnings,
+        )?;
 
         let (mut cond_r, mut cond_b) = (0.0, 0.0);
         let mut r = self
             .qbd
-            .r_from_g_with_cond(&g, accepted_hardening, Some(&mut cond_r))?;
+            .r_from_g_with_cond(&g, hardening, Some(&mut cond_r))?;
         if !all_finite(&r) {
             return Err(QbdError::NumericalBreakdown {
                 stage: "R computation",
@@ -918,7 +543,7 @@ impl SolverSupervisor {
             // refinement. The warning stays — refinement certifies the
             // backward error of the solve, not the conditioning of the
             // system — but the returned R is the certified one.
-            if !accepted_hardening.refine {
+            if !hardening.refine {
                 warn(
                     &mut warnings,
                     SolveWarning::Hardened {
@@ -928,7 +553,7 @@ impl SolverSupervisor {
                 let refined = Hardening {
                     equilibrate: true,
                     refine: true,
-                    ..accepted_hardening
+                    ..hardening
                 };
                 let r2 = self.qbd.r_from_g_with_cond(&g, refined, None)?;
                 if all_finite(&r2) {
@@ -938,7 +563,7 @@ impl SolverSupervisor {
         }
         let solution = self
             .qbd
-            .boundary_from_gr(g, r, accepted_hardening, Some(&mut cond_b))?;
+            .boundary_from_gr(g, r, hardening, Some(&mut cond_b))?;
         if cond_b > self.options.condition_threshold {
             warn(
                 &mut warnings,
@@ -948,18 +573,16 @@ impl SolverSupervisor {
                 },
             );
         }
+        check_mean(&solution)?;
 
-        let degraded = tol_used > self.options.tolerance
-            || attempts.iter().any(|a| !a.converged);
         let report = SolveReport {
-            strategy,
             iterations,
-            total_iterations,
+            total_iterations: attempts.iter().map(|a| a.iterations).sum(),
             residual,
             tolerance_requested: self.options.tolerance,
-            tolerance_used: tol_used,
+            tolerance_used: self.options.tolerance,
             condition_estimate: cond_r.max(cond_b),
-            degraded,
+            degraded: attempts.iter().any(|a| !a.converged),
             warnings,
             attempts,
             elapsed: start.elapsed(),
@@ -968,21 +591,147 @@ impl SolverSupervisor {
         Ok((solution, report))
     }
 
-    fn run_stage(
+    /// The `G` ladder: one logarithmic-reduction attempt at `hardening`
+    /// and, after a [`QbdError::NumericalBreakdown`], exactly one retry
+    /// with [`Hardening::full`]. Every attempt is logged in `attempts`
+    /// and every rejection in `warnings`. Returns the accepted `G`, its
+    /// iteration count and residual, and the hardening it ran with.
+    ///
+    /// No linear iteration (Neuts, functional) follows a rejection:
+    /// where logarithmic reduction fails, their contraction rate
+    /// vanishes with the same spectral gap, and on a census of 2,276
+    /// points (N ≤ 5, T ≤ 20, ρ around every blow-up point) they never
+    /// rescued one.
+    fn accept_g(
         &self,
-        stage: StageBudget,
-        tolerance: f64,
-        hardening: Hardening,
-    ) -> Result<(Matrix, usize)> {
-        let (qbd, budget, stop) = (&self.qbd, stage.max_iterations, &self.options.stop);
-        match stage.strategy {
-            GStrategy::NeutsSubstitution => qbd.g_neuts_counted(tolerance, budget, stop, hardening),
-            GStrategy::FunctionalIteration => {
-                qbd.g_functional_counted(tolerance, budget, stop, hardening, None)
+        mut hardening: Hardening,
+        budget: f64,
+        attempts: &mut Vec<StageAttempt>,
+        warnings: &mut Vec<SolveWarning>,
+    ) -> Result<(Matrix, usize, f64, Hardening)> {
+        let spent =
+            |attempts: &[StageAttempt]| -> usize { attempts.iter().map(|a| a.iterations).sum() };
+        loop {
+            if let Some(why) = self.options.stop.probe() {
+                return Err(QbdError::interrupted(
+                    why,
+                    "solver supervisor",
+                    spent(attempts),
+                ));
             }
-            GStrategy::LogarithmicReduction => {
-                qbd.g_logred_counted(tolerance, budget, stop, hardening)
+            let _attempt_span = performa_obs::span_with(
+                "qbd.attempt",
+                vec![
+                    ("strategy", "logred".into()),
+                    ("tolerance", self.options.tolerance.into()),
+                    ("hardened", hardening.any().into()),
+                ],
+            );
+            // Arm the flight recorder for this attempt: if it trips a
+            // watchdog or is rejected, the last K iteration records are
+            // dumped as qbd.flight events.
+            performa_obs::flight::begin("logred", hardening.any());
+            let outcome = self.qbd.g_logred_counted(
+                self.options.tolerance,
+                self.options.max_iterations,
+                &self.options.stop,
+                hardening,
+            );
+            let (iterations, reason) = match outcome {
+                Ok((g, iterations)) => {
+                    let drift = stochastic_drift(&g);
+                    let reason = if drift > DRIFT_CAP {
+                        StageFailureReason::StochasticDrift {
+                            drift,
+                            cap: DRIFT_CAP,
+                        }
+                    } else {
+                        let residual = self.qbd.g_residual(&g);
+                        if residual <= budget {
+                            performa_obs::event(
+                                performa_obs::TraceLevel::Info,
+                                "qbd.converged",
+                                vec![
+                                    ("strategy", "logred".into()),
+                                    ("iterations", iterations.into()),
+                                    ("residual", residual.into()),
+                                    ("drift", drift.into()),
+                                ],
+                            );
+                            attempts.push(StageAttempt {
+                                iterations,
+                                hardened: hardening.any(),
+                                converged: true,
+                                outcome: StageOutcome::Converged,
+                            });
+                            return Ok((g, iterations, residual, hardening));
+                        }
+                        StageFailureReason::ResidualAboveBudget { residual, budget }
+                    };
+                    (iterations, reason)
+                }
+                Err(e) => {
+                    if let Some((why, iterations)) = e.interrupt() {
+                        let event = match why {
+                            Interrupt::Cancelled => "qbd.cancelled",
+                            Interrupt::DeadlineExceeded => "qbd.deadline",
+                        };
+                        performa_obs::event(
+                            performa_obs::TraceLevel::Warn,
+                            event,
+                            vec![
+                                ("strategy", "logred".into()),
+                                ("iterations", iterations.into()),
+                            ],
+                        );
+                        if why == Interrupt::Cancelled {
+                            // Preserve the abandoned attempt's tail for
+                            // the post-mortem before the drain discards
+                            // this point.
+                            performa_obs::flight::dump("cancelled");
+                        }
+                        return Err(QbdError::interrupted(
+                            why,
+                            "solver supervisor",
+                            spent(attempts) + iterations,
+                        ));
+                    }
+                    let iterations = match e {
+                        QbdError::NoConvergence { iterations, .. } => iterations,
+                        QbdError::NumericalBreakdown { iteration, .. } => iteration,
+                        _ => 0,
+                    };
+                    (iterations, StageFailureReason::from_error(&e))
+                }
+            };
+            attempts.push(StageAttempt {
+                iterations,
+                hardened: hardening.any(),
+                converged: false,
+                outcome: StageOutcome::Failed(reason.clone()),
+            });
+            let retry = matches!(reason, StageFailureReason::NumericalBreakdown { .. })
+                && hardening != Hardening::full();
+            let evidence = reason.magnitude().unwrap_or(f64::INFINITY);
+            warn(warnings, SolveWarning::StageFailed { reason });
+            if !retry {
+                performa_obs::flight::dump("stage_failed");
+                return Err(QbdError::NoConvergence {
+                    stage: "solver supervisor",
+                    iterations: spent(attempts),
+                    residual: evidence,
+                });
             }
+            hardening = Hardening::full();
+            warn(
+                warnings,
+                SolveWarning::Hardened {
+                    cause: "numerical_breakdown",
+                },
+            );
+            // A watchdog trip already dumped the ring mid-attempt; this
+            // covers a breakdown no watchdog saw.
+            performa_obs::flight::dump("hardened");
         }
     }
 }
@@ -999,6 +748,23 @@ fn stochastic_drift(g: &Matrix) -> f64 {
             neg.max((sum - 1.0).abs())
         })
         .fold(0.0, f64::max)
+}
+
+/// Rejects a solution whose mean queue length is negative or not
+/// finite: such a vector is no probability law, however small the
+/// residual of the `G` behind it. The boundary solve is only normwise
+/// stable, so near null recurrence its slow-phase entries can lose
+/// their sign. Costs one dot product with the cached `(I−R)⁻²ε`.
+fn check_mean(solution: &QbdSolution) -> Result<()> {
+    let mean = solution.mean_queue_length();
+    if mean.is_finite() && mean >= 0.0 {
+        Ok(())
+    } else {
+        Err(QbdError::NumericalBreakdown {
+            stage: "boundary solve",
+            iteration: 0,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1031,33 +797,10 @@ mod tests {
         let (sup, report) = SolverSupervisor::new(qbd).solve().unwrap();
         assert!((sup.mean_queue_length() - plain.mean_queue_length()).abs() < 1e-8);
         assert!(!report.degraded, "report: {}", report.summary());
-        assert_eq!(report.strategy, GStrategy::LogarithmicReduction);
         assert!(report.iterations > 0);
         assert!(report.residual.is_finite());
         assert!(report.attempts.iter().all(|a| a.converged));
         assert_eq!(report.tolerance_used, report.tolerance_requested);
-    }
-
-    #[test]
-    fn every_strategy_first_in_chain_agrees() {
-        let qbd = mmpp2(1.2);
-        let reference = qbd.solve().unwrap().mean_queue_length();
-        for strategy in [
-            GStrategy::NeutsSubstitution,
-            GStrategy::FunctionalIteration,
-            GStrategy::LogarithmicReduction,
-        ] {
-            let options = SupervisorOptions::default()
-                .with_chain(vec![StageBudget::new(strategy, 100_000)]);
-            let (sol, report) =
-                SolverSupervisor::with_options(qbd.clone(), options).solve().unwrap();
-            assert_eq!(report.strategy, strategy);
-            assert!(
-                (sol.mean_queue_length() - reference).abs() < 1e-7,
-                "{strategy}: {} vs {reference}",
-                sol.mean_queue_length()
-            );
-        }
     }
 
     #[test]
@@ -1080,43 +823,22 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_relaxation_is_reported_never_silent() {
-        // A single linearly-convergent stage with a budget too small for
-        // the requested 1e-12: the supervisor must relax, flag the solve
-        // as degraded, and say so in the warnings.
-        let qbd = mm1(0.8, 1.0);
-        let options = SupervisorOptions {
-            chain: vec![StageBudget::new(GStrategy::FunctionalIteration, 150)],
-            tolerance: 1e-12,
-            max_relaxations: 4,
-            relaxation_factor: 100.0,
-            ..SupervisorOptions::default()
-        };
-        let (sol, report) = SolverSupervisor::with_options(qbd, options).solve().unwrap();
-        assert!(report.degraded);
-        assert!(report.tolerance_used > report.tolerance_requested);
-        assert!(report
-            .warnings
-            .iter()
-            .any(|w| matches!(w, SolveWarning::ToleranceRelaxed { .. })));
-        assert!(report.attempts.iter().any(|a| !a.converged));
-        // Even degraded, the answer stays within the relaxed bound.
-        let exact = 0.8 / (1.0 - 0.8);
-        assert!((sol.mean_queue_length() - exact).abs() < 1e-2);
-    }
-
-    #[test]
     fn exhausted_chain_reports_no_convergence() {
+        // Three logred iterations cannot reach 1e-14 at rho 0.9; the
+        // exhausted budget is not a breakdown, so no retry follows.
         let qbd = mm1(0.9, 1.0);
         let options = SupervisorOptions {
-            chain: vec![StageBudget::new(GStrategy::FunctionalIteration, 3)],
+            max_iterations: 3,
             tolerance: 1e-14,
-            max_relaxations: 1,
             ..SupervisorOptions::default()
         };
         assert!(matches!(
             SolverSupervisor::with_options(qbd, options).solve(),
-            Err(QbdError::NoConvergence { .. })
+            Err(QbdError::NoConvergence {
+                stage: "solver supervisor",
+                iterations: 3,
+                ..
+            })
         ));
     }
 
@@ -1165,25 +887,14 @@ mod tests {
             condition_threshold: 0.5,
             ..SupervisorOptions::default()
         };
-        let (_, report) = SolverSupervisor::with_options(qbd, options).solve().unwrap();
+        let (_, report) = SolverSupervisor::with_options(qbd, options)
+            .solve()
+            .unwrap();
         assert!(report.condition_estimate > 0.5);
         assert!(report
             .warnings
             .iter()
             .any(|w| matches!(w, SolveWarning::IllConditioned { .. })));
-    }
-
-    #[test]
-    fn empty_chain_is_rejected() {
-        let qbd = mm1(0.5, 1.0);
-        let options = SupervisorOptions {
-            chain: vec![],
-            ..SupervisorOptions::default()
-        };
-        assert!(matches!(
-            SolverSupervisor::with_options(qbd, options).solve(),
-            Err(QbdError::InvalidParameter { .. })
-        ));
     }
 
     #[test]
@@ -1197,16 +908,40 @@ mod tests {
     }
 
     #[test]
+    fn negative_mean_queue_length_is_a_boundary_breakdown() {
+        // m = 1, R = [0.5]: E[Q] = π1·(I−R)⁻²ε = −0.1 · 4 = −0.4.
+        let parts = |pi1: f64| {
+            QbdSolution::from_parts(
+                Vector::from(vec![0.5]),
+                Vector::from(vec![pi1]),
+                Matrix::from_rows(&[&[0.5]]),
+                Matrix::from_rows(&[&[1.0]]),
+            )
+            .unwrap()
+        };
+        let negative = parts(-0.1);
+        assert!((negative.mean_queue_length() + 0.4).abs() < 1e-15);
+        assert_eq!(
+            check_mean(&negative),
+            Err(QbdError::NumericalBreakdown {
+                stage: "boundary solve",
+                iteration: 0,
+            })
+        );
+        assert!(check_mean(&parts(f64::NAN)).is_err());
+        assert_eq!(check_mean(&parts(0.1)), Ok(()));
+    }
+
+    #[test]
     fn near_null_recurrent_chain_is_hardened_from_the_start() {
-        // rho = 0.995 sits inside the default 0.02 saturation margin:
-        // the drift pre-check must engage full hardening pre-emptively
-        // and say so, and the solve must still be clean (not degraded).
+        // rho = 0.995 sits inside the 0.02 saturation margin: the drift
+        // pre-check must engage full hardening pre-emptively and say
+        // so, and the solve must still be clean (not degraded).
         let qbd = mm1(0.995, 1.0);
         let (sol, report) = SolverSupervisor::new(qbd).solve().unwrap();
-        assert!(report
-            .warnings
-            .iter()
-            .any(|w| matches!(w, SolveWarning::Hardened { cause } if *cause == "near_null_recurrent")));
+        assert!(report.warnings.iter().any(
+            |w| matches!(w, SolveWarning::Hardened { cause } if *cause == "near_null_recurrent")
+        ));
         assert!(report.attempts.iter().all(|a| a.hardened));
         assert!(!report.degraded);
         let exact = 0.995 / (1.0 - 0.995);
@@ -1234,28 +969,40 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn breakdown_triggers_hardened_retry_of_the_same_stage() {
-        // Poison logred at iteration 1: the first (plain) run breaks
-        // down, the supervisor retries the SAME stage hardened (the
-        // poison hits again), and only then falls back — visible as two
-        // logred attempts, the second hardened.
+        // A thread-local poison of logred at iteration 1 hits every
+        // attempt on this thread: the plain attempt breaks down, the
+        // ladder retries it once fully hardened, the poison hits again,
+        // and the solve ends there with a typed NoConvergence.
         let _guard = crate::fault::arm(crate::fault::FaultPlan {
             poison: Some(("logred", 1)),
             ..Default::default()
         });
-        let (_, report) = SolverSupervisor::new(mmpp2(1.0)).solve().unwrap();
-        let logred: Vec<_> = report
-            .attempts
-            .iter()
-            .filter(|a| a.strategy == GStrategy::LogarithmicReduction && !a.converged)
-            .collect();
-        assert!(logred.len() >= 2, "expected a hardened retry: {logred:?}");
-        assert!(!logred[0].hardened);
-        assert!(logred[1].hardened);
-        assert!(report
-            .warnings
-            .iter()
-            .any(|w| matches!(w, SolveWarning::Hardened { cause } if *cause == "numerical_breakdown")));
-        assert!(report.degraded);
+        let supervisor = SolverSupervisor::new(mmpp2(1.0));
+        let (mut attempts, mut warnings) = (Vec::new(), Vec::new());
+        let err = supervisor
+            .accept_g(Hardening::none(), 1e-10, &mut attempts, &mut warnings)
+            .unwrap_err();
+        assert_eq!(attempts.len(), 2, "{attempts:?}");
+        assert!(!attempts[0].hardened);
+        assert!(attempts[1].hardened);
+        for a in &attempts {
+            assert!(matches!(
+                a.outcome,
+                StageOutcome::Failed(StageFailureReason::NumericalBreakdown { .. })
+            ));
+        }
+        assert!(warnings.iter().any(
+            |w| matches!(w, SolveWarning::Hardened { cause } if *cause == "numerical_breakdown")
+        ));
+        let spent: usize = attempts.iter().map(|a| a.iterations).sum();
+        assert_eq!(
+            err,
+            QbdError::NoConvergence {
+                stage: "solver supervisor",
+                iterations: spent,
+                residual: f64::INFINITY,
+            }
+        );
     }
 
     #[test]

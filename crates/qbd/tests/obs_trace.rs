@@ -3,8 +3,8 @@
 //! These tests pin down the observable contract of a supervised solve:
 //! a clean solve emits a tidy span tree and *zero* warning events, and a
 //! fault-injected solve leaves a trace from which the whole recovery
-//! story — attempt, watchdog trip, fallback, convergence, per-iteration
-//! residuals — can be reconstructed.
+//! story — attempt, watchdog trip, rejection, hardened retry,
+//! convergence, per-iteration residuals — can be reconstructed.
 
 use std::sync::Arc;
 
@@ -59,22 +59,22 @@ fn clean_solve_emits_zero_warning_events() {
 
 #[cfg(feature = "fault-injection")]
 #[test]
-fn forced_fallback_emits_expected_span_tree_and_event_sequence() {
-    use performa_qbd::{fault, SupervisorOptions};
+fn hardened_retry_emits_expected_span_tree_and_event_sequence() {
+    use performa_qbd::fault;
 
+    // Both tests in this binary hold the obs lock, which also keeps the
+    // one-shot global poison from being consumed by the other's solve.
     let _guard = obs::test_lock();
-    let _fault = fault::arm(fault::FaultPlan {
-        poison: Some(("neuts", 1)),
+    let _fault = fault::arm_global(fault::FaultPlan {
+        poison: Some(("logred", 1)),
         ..Default::default()
     });
-    // Neuts-led reference chain, so the poisoned stage runs first.
-    let (result, sink) = traced(|| {
-        SolverSupervisor::with_options(mmpp2(1.0), SupervisorOptions::reference()).solve()
-    });
+    let (result, sink) = traced(|| SolverSupervisor::new(mmpp2(1.0)).solve());
     let (_, report) = result.unwrap();
     assert!(report.degraded);
 
-    // Span tree: one qbd.solve root; every qbd.attempt is its child.
+    // Span tree: one qbd.solve root; both qbd.attempt spans (the
+    // poisoned attempt and its hardened retry) are its children.
     let solve_spans = sink.spans_named("qbd.solve");
     assert_eq!(solve_spans.len(), 1);
     let Record::SpanOpen { id: solve_id, parent: solve_parent, .. } = solve_spans[0] else {
@@ -82,14 +82,14 @@ fn forced_fallback_emits_expected_span_tree_and_event_sequence() {
     };
     assert_eq!(solve_parent, None, "qbd.solve is a root span");
     let attempts = sink.spans_named("qbd.attempt");
-    assert!(attempts.len() >= 2, "poisoned stage plus its fallback");
+    assert_eq!(attempts.len(), 2, "poisoned attempt plus its hardened retry");
     for a in &attempts {
         let Record::SpanOpen { parent, .. } = a else { unreachable!() };
         assert_eq!(*parent, Some(solve_id));
     }
 
     // Event sequence: attempt iterations, then the watchdog trip, then
-    // the fallback warning, then convergence of the next strategy.
+    // the rejection warning, then convergence of the hardened retry.
     let names = sink.event_names();
     let trip = names
         .iter()
@@ -121,7 +121,7 @@ fn forced_fallback_emits_expected_span_tree_and_event_sequence() {
     }
 
     // The same story survives the NDJSON round trip: the serialized
-    // trace validates against schema v1 and still names the fallback
+    // trace validates against schema v1 and still names the retry
     // sequence and the per-iteration residual stream.
     let ndjson: String = sink
         .records()
