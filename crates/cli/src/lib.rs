@@ -288,7 +288,7 @@ const KNOWN_OPTIONS: &[&str] = &[
 
 impl Args {
     /// Parses `--key value` pairs; rejects unknown keys, dangling keys
-    /// and stray positional words. Flags listed in [`BOOL_FLAGS`] take
+    /// and stray positional words. Flags listed in `BOOL_FLAGS` take
     /// no value.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self> {
         let mut map = HashMap::new();

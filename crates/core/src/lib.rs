@@ -99,9 +99,10 @@ pub type Result<T> = std::result::Result<T, CoreError>;
 /// One-line import for experiment binaries and downstream tools.
 ///
 /// Pulls in the model builders, the sweep machinery, the supervised
-/// solver configuration (including the [`Hardening`] string
-/// round-trip) and the distribution specs — everything a
-/// typical figure-reproduction `main` touches:
+/// solver configuration (including the
+/// [`Hardening`](performa_qbd::Hardening) string round-trip) and the
+/// distribution specs — everything a typical figure-reproduction `main`
+/// touches:
 ///
 /// ```
 /// use performa_core::prelude::*;

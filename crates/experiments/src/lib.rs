@@ -188,7 +188,7 @@ fn usage_exit(message: &str) -> ! {
 /// * `--profile` — metric aggregation plus a summary table on exit.
 ///
 /// Every binary calls it first, so it also rejects a misspelt option:
-/// any `--key` outside [`KNOWN_OPTIONS`] exits 2 before any work.
+/// any `--key` outside `KNOWN_OPTIONS` exits 2 before any work.
 ///
 /// # Panics
 ///

@@ -57,7 +57,7 @@ pub const NR: usize = 8;
 pub const MC: usize = 128;
 /// Depth-block size: the `k` extent of one packed panel pair. Each
 /// depth panel contributes one `C += α·acc` update per output element;
-/// the structured kernels in [`crate::storage`] replicate this panel
+/// the diagonal kernels in [`crate::storage`] replicate this panel
 /// split exactly to stay bit-identical to the dense path.
 pub const KC: usize = 256;
 /// Column-block size: columns of packed `B` processed per outer sweep.

@@ -50,7 +50,7 @@ pub mod threading;
 
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use storage::{ClassifiedMatrix, MatRead, MatStorage, StorageKind};
+pub use storage::ClassifiedMatrix;
 pub use vector::Vector;
 
 /// Workspace-wide numeric tolerance used as a default by iterative routines.

@@ -1246,56 +1246,6 @@ impl LuWorkspace {
         })
     }
 
-    /// Refined single right-hand-side solve `A · x = b`. One-shot
-    /// convenience over [`LuWorkspace::solve_mat_refined_into`];
-    /// allocates two `n × 1` staging matrices.
-    ///
-    /// # Errors
-    ///
-    /// See [`LuWorkspace::solve_mat_refined_into`].
-    pub fn solve_vec_refined_into(&mut self, b: &Vector, out: &mut Vector) -> Result<RefineStats> {
-        let n = self.dim();
-        if b.len() != n || out.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_vec_refined_into",
-                left: (b.len(), 1),
-                right: (out.len(), 1),
-            });
-        }
-        let bm = Matrix::from_fn(n, 1, |i, _| b[i]);
-        let mut xm = Matrix::zeros(n, 1);
-        let stats = self.solve_mat_refined_into(&bm, &mut xm)?;
-        for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
-            *v = xm[(i, 0)];
-        }
-        Ok(stats)
-    }
-
-    /// Refined single left solve `x · A = b` — the boundary-system form.
-    ///
-    /// # Errors
-    ///
-    /// See [`LuWorkspace::solve_mat_refined_into`].
-    pub fn solve_left_vec_refined_into(
-        &mut self,
-        b: &Vector,
-        out: &mut Vector,
-    ) -> Result<RefineStats> {
-        let n = self.dim();
-        if b.len() != n || out.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_left_vec_refined_into",
-                left: (1, b.len()),
-                right: (1, out.len()),
-            });
-        }
-        let bm = Matrix::from_fn(1, n, |_, j| b[j]);
-        let mut xm = Matrix::zeros(1, n);
-        let stats = self.solve_left_mat_refined_into(&bm, &mut xm)?;
-        out.as_mut_slice().copy_from_slice(xm.row(0));
-        Ok(stats)
-    }
-
     /// Cheap 1-norm condition-number estimate of the factored matrix;
     /// see [`Lu::condition_estimate`].
     ///
@@ -1690,15 +1640,6 @@ mod tests {
         );
         assert!(stats.converged, "no convergence: {stats:?}");
         assert!(stats.backward_error <= REFINE_TOL);
-
-        // Vector forms agree with the matrix form.
-        let bv = Vector::from((0..n).map(|i| b[(i, 0)]).collect::<Vec<_>>());
-        let mut xv = Vector::zeros(n);
-        let vstats = ws.solve_vec_refined_into(&bv, &mut xv).unwrap();
-        assert!(vstats.converged);
-        for i in 0..n {
-            assert!(approx(xv[i], x[(i, 0)], 1e-12 * x_true.norm_inf()));
-        }
     }
 
     #[test]
@@ -1711,12 +1652,6 @@ mod tests {
         let mut x = Matrix::zeros(1, n);
         let stats = ws.solve_left_mat_refined_into(&b, &mut x).unwrap();
         assert!(stats.converged, "left refinement stalled: {stats:?}");
-
-        let bv = Vector::from(b.row(0).to_vec());
-        let mut xv = Vector::zeros(n);
-        let vstats = ws.solve_left_vec_refined_into(&bv, &mut xv).unwrap();
-        assert!(vstats.converged);
-        assert!(xv.max_abs_diff(&Vector::from(x.row(0).to_vec())) < 1e-12);
     }
 
     #[test]

@@ -1,457 +1,139 @@
-//! Storage-decoupled matrix API: read traits, compact storage formats,
-//! and structure-exploiting multiply kernels.
+//! Build-time classification of QBD blocks and the multiply kernels it
+//! selects.
 //!
-//! The QBD blocks of the reproduced paper are highly structured: `A0`
-//! (arrival transitions) is `λ·I` for the MMPP/M/1-type models and `A2`
-//! (service/repair completions) is diagonal, while only `A1` is truly
-//! dense. The iteration kernels historically paid dense `O(m³)` GEMM on
-//! all three. This module decouples *what a matrix is* ([`MatRead`] /
-//! [`MatStorage`]) from *how it is stored* ([`Matrix`] dense,
-//! [`Diagonal`], [`Banded`]) so the multiply kernels can be written once
-//! against the classified representation and pick the cheapest loop
-//! structure per operand.
-//!
-//! # Classification
-//!
-//! [`ClassifiedMatrix::classify`] probes a dense square matrix at build
-//! time:
-//!
-//! 1. zero bandwidth (all off-diagonal entries exactly `0.0`) ⇒
-//!    [`Diagonal`];
-//! 2. band storage at most a third of the dense storage
-//!    (`kl + ku + 1 ≤ n/3`) ⇒ [`Banded`];
-//! 3. otherwise the dense fallback, which routes straight to
-//!    [`crate::gemm::gemm_into`].
-//!
-//! The original dense matrix is always retained, so accessors and any
-//! code path that wants plain dense data ([`ClassifiedMatrix::dense`])
-//! are untouched by classification.
+//! In the reproduced paper's queues the repeating blocks that enter
+//! products are diagonal: Poisson arrivals make `A0 = λI` and modulated
+//! service makes `A2 = diag(ν)` in the M/MMPP/1 queue (the MMPP/M/1 dual
+//! swaps the two), while `A1` carries the whole modulator generator. [`ClassifiedMatrix::classify`] keeps the dense block and
+//! records whether every off-diagonal entry is zero; [`gemm_left_into`]
+//! and [`gemm_right_into`] then run a diagonal kernel, which skips the
+//! products with off-diagonal zeros, or the blocked GEMM
+//! ([`crate::gemm::gemm_into`]) for any other block.
 //!
 //! # Bit-exactness contract
 //!
-//! For finite inputs, [`gemm_left_into`] and [`gemm_right_into`] are
-//! **bitwise identical** to the dense blocked GEMM ([`crate::gemm`]),
-//! which is what lets `Qbd` swap kernels without perturbing golden
-//! outputs or the solver version. The argument (pinned by property
-//! tests, spelled out in DESIGN.md §16):
+//! For finite inputs the diagonal kernels are **bitwise identical** to
+//! the dense blocked GEMM, which is what lets `Qbd` swap kernels without
+//! perturbing golden outputs or the solver version. The argument (pinned
+//! by property tests, spelled out in DESIGN.md §16):
 //!
 //! * dense GEMM updates every output element once per [`KC`] depth
 //!   panel, in ascending panel order: `c ← c + α·acc_p`, where `acc_p`
 //!   is an ascending-`k` FMA chain over the panel started at `+0.0`;
-//! * entries outside the band are exactly `+0.0`, and an FMA chain over
-//!   products with one `+0.0` operand keeps the accumulator at exactly
-//!   `+0.0` (`+0.0 + ±0.0 = +0.0` in round-to-nearest), so the chain
-//!   prefix before the band contributes nothing and the structured
-//!   kernel may start its chain at `+0.0` directly at the band;
+//! * off-diagonal entries are `±0.0`, and an FMA chain over products
+//!   with a zero operand keeps the accumulator at exactly `+0.0`
+//!   (`+0.0 + ±0.0 = +0.0` in round-to-nearest), so the chain prefix
+//!   before the diagonal term contributes nothing, the kernels may start
+//!   the chain at `+0.0` on that term, and a panel without it
+//!   contributes `α·(+0.0)`;
 //! * once the accumulator is nonzero, adding `±0.0` terms cannot change
-//!   it, so the chain suffix after the band is a no-op — except when the
-//!   in-band sum is itself a signed zero, in which case the kernels
-//!   replay the suffix FMAs verbatim (rare, data-dependent, `O(KC)`).
+//!   it, so the chain suffix after the diagonal term is a no-op — except
+//!   when that term is itself a signed zero, in which case the kernels
+//!   replay the suffix FMAs on the dense entries (rare, data-dependent,
+//!   `O(KC)`).
 //!
 //! Non-finite operands (`NaN`/`±∞`) void the contract — a dense chain
-//! would propagate `0·∞ = NaN` from outside the band — but `Qbd`
+//! would propagate `0·∞ = NaN` from off the diagonal — but `Qbd`
 //! construction rejects non-finite blocks, and a diverging iterate fails
 //! its residual gate regardless of which kernel produced it.
-
-use std::fmt;
 
 use crate::gemm::{self, KC};
 use crate::Matrix;
 
-/// How a matrix operand is physically stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum StorageKind {
-    /// Full row-major `n×n` (or rectangular) storage.
-    Dense,
-    /// Only the main diagonal is stored.
-    Diagonal,
-    /// A contiguous diagonal band (`kl` sub-, `ku` super-diagonals).
-    Banded,
-}
-
-impl StorageKind {
-    /// Stable lower-case name used in kernel tags and obs counters.
-    pub fn name(self) -> &'static str {
-        match self {
-            StorageKind::Dense => "dense",
-            StorageKind::Diagonal => "diagonal",
-            StorageKind::Banded => "banded",
-        }
-    }
-}
-
-impl fmt::Display for StorageKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Read-only view of a matrix, independent of physical storage.
+/// A block with its dense storage and whether it is diagonal, which
+/// selects the multiply kernel.
 ///
-/// This is the interface the structure-exploiting kernels and the
-/// classification probe are written against; every storage format
-/// (dense [`Matrix`], [`Diagonal`], [`Banded`]) implements it.
-pub trait MatRead: fmt::Debug {
-    /// Number of rows.
-    fn nrows(&self) -> usize;
-    /// Number of columns.
-    fn ncols(&self) -> usize;
-    /// Element at `(i, j)`; positions outside the stored structure are
-    /// exactly `+0.0`.
-    fn at(&self, i: usize, j: usize) -> f64;
-    /// The physical storage format.
-    fn kind(&self) -> StorageKind;
-    /// Fraction of the dense element count this format stores
-    /// (`1.0` for dense, `1/n` for diagonal, …).
-    fn occupancy(&self) -> f64;
-    /// Materializes the full dense matrix.
-    fn to_dense(&self) -> Matrix {
-        Matrix::from_fn(self.nrows(), self.ncols(), |i, j| self.at(i, j))
-    }
-}
-
-/// A storage format that can be built from (and losslessly represents)
-/// a dense matrix.
-pub trait MatStorage: MatRead + Sized {
-    /// Attempts to build this storage from `m` without loss; `None` if
-    /// `m` does not fit the format (or the format would not pay off).
-    fn from_dense(m: &Matrix) -> Option<Self>;
-}
-
-impl MatRead for Matrix {
-    fn nrows(&self) -> usize {
-        Matrix::nrows(self)
-    }
-    fn ncols(&self) -> usize {
-        Matrix::ncols(self)
-    }
-    fn at(&self, i: usize, j: usize) -> f64 {
-        self[(i, j)]
-    }
-    fn kind(&self) -> StorageKind {
-        StorageKind::Dense
-    }
-    fn occupancy(&self) -> f64 {
-        1.0
-    }
-    fn to_dense(&self) -> Matrix {
-        self.clone()
-    }
-}
-
-impl MatStorage for Matrix {
-    fn from_dense(m: &Matrix) -> Option<Self> {
-        Some(m.clone())
-    }
-}
-
-/// Square matrix with only the main diagonal stored.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Diagonal {
-    diag: Vec<f64>,
-}
-
-impl Diagonal {
-    /// Builds from the diagonal entries.
-    pub fn from_diag(diag: Vec<f64>) -> Self {
-        Diagonal { diag }
-    }
-
-    /// The stored diagonal.
-    pub fn diag(&self) -> &[f64] {
-        &self.diag
-    }
-}
-
-impl MatRead for Diagonal {
-    fn nrows(&self) -> usize {
-        self.diag.len()
-    }
-    fn ncols(&self) -> usize {
-        self.diag.len()
-    }
-    fn at(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            self.diag[i]
-        } else {
-            0.0
-        }
-    }
-    fn kind(&self) -> StorageKind {
-        StorageKind::Diagonal
-    }
-    fn occupancy(&self) -> f64 {
-        let n = self.diag.len();
-        if n == 0 {
-            0.0
-        } else {
-            1.0 / n as f64
-        }
-    }
-}
-
-impl MatStorage for Diagonal {
-    fn from_dense(m: &Matrix) -> Option<Self> {
-        let n = Matrix::nrows(m);
-        if Matrix::ncols(m) != n {
-            return None;
-        }
-        for i in 0..n {
-            for (j, &v) in m.row(i).iter().enumerate() {
-                if i != j && v != 0.0 {
-                    return None;
-                }
-            }
-        }
-        Some(Diagonal {
-            diag: (0..n).map(|i| m[(i, i)]).collect(),
-        })
-    }
-}
-
-/// Square matrix stored as a diagonal band: `kl` sub-diagonals, the main
-/// diagonal, and `ku` super-diagonals.
-///
-/// Row `i` stores columns `i-kl ..= i+ku` (clipped to the matrix) in a
-/// fixed-width strip of `kl + ku + 1` values, so every in-band row
-/// segment is contiguous and unit-stride — exactly what the banded
-/// multiply kernels walk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Banded {
-    n: usize,
-    kl: usize,
-    ku: usize,
-    /// `n × (kl + ku + 1)` row-major strips; out-of-matrix positions in
-    /// the first/last rows are `0.0` padding.
-    strips: Vec<f64>,
-}
-
-impl Banded {
-    /// Sub-diagonal count.
-    pub fn lower_bandwidth(&self) -> usize {
-        self.kl
-    }
-
-    /// Super-diagonal count.
-    pub fn upper_bandwidth(&self) -> usize {
-        self.ku
-    }
-
-    /// Stored strip width `kl + ku + 1`.
-    pub fn strip_width(&self) -> usize {
-        self.kl + self.ku + 1
-    }
-
-    /// Column range `[lo, hi)` of row `i` that lies inside the band.
-    fn row_range(&self, i: usize) -> (usize, usize) {
-        (i.saturating_sub(self.kl), (i + self.ku + 1).min(self.n))
-    }
-
-    /// Row range `[lo, hi)` of column `j` that lies inside the band.
-    fn col_range(&self, j: usize) -> (usize, usize) {
-        (j.saturating_sub(self.ku), (j + self.kl + 1).min(self.n))
-    }
-}
-
-impl MatRead for Banded {
-    fn nrows(&self) -> usize {
-        self.n
-    }
-    fn ncols(&self) -> usize {
-        self.n
-    }
-    fn at(&self, i: usize, j: usize) -> f64 {
-        if j + self.kl >= i && j <= i + self.ku {
-            self.strips[i * self.strip_width() + (j + self.kl - i)]
-        } else {
-            0.0
-        }
-    }
-    fn kind(&self) -> StorageKind {
-        StorageKind::Banded
-    }
-    fn occupancy(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (self.strip_width() as f64 / self.n as f64).min(1.0)
-        }
-    }
-}
-
-impl MatStorage for Banded {
-    /// Accepts square matrices whose band storage is at most a third of
-    /// the dense storage (`kl + ku + 1 ≤ n/3`) — below that the banded
-    /// kernels are a clear win, above it the dense blocked GEMM's cache
-    /// behaviour wins.
-    fn from_dense(m: &Matrix) -> Option<Self> {
-        let n = Matrix::nrows(m);
-        if Matrix::ncols(m) != n || n == 0 {
-            return None;
-        }
-        let (mut kl, mut ku) = (0usize, 0usize);
-        for i in 0..n {
-            for (j, &v) in m.row(i).iter().enumerate() {
-                if v != 0.0 {
-                    if i > j {
-                        kl = kl.max(i - j);
-                    } else {
-                        ku = ku.max(j - i);
-                    }
-                }
-            }
-        }
-        let width = kl + ku + 1;
-        if width > n / 3 {
-            return None;
-        }
-        let mut strips = vec![0.0; n * width];
-        for i in 0..n {
-            let lo = i.saturating_sub(kl);
-            let hi = (i + ku + 1).min(n);
-            let strip = &mut strips[i * width..i * width + width];
-            strip[lo + kl - i..hi + kl - i].copy_from_slice(&m.row(i)[lo..hi]);
-        }
-        Some(Banded { n, kl, ku, strips })
-    }
-}
-
-/// The compact representation a [`ClassifiedMatrix`] selected.
-#[derive(Debug, Clone, PartialEq)]
-enum Compact {
-    Dense,
-    Diagonal(Diagonal),
-    Banded(Banded),
-}
-
-/// A square matrix with both its dense storage and (when the build-time
-/// probe found structure) a compact representation the multiply kernels
-/// exploit.
-///
-/// The dense storage is always retained, so accessors and dense-only
-/// code paths see exactly the matrix that was classified; the compact
-/// form only changes *how fast* products are computed, never their bits
-/// (see the module docs for the exactness argument).
+/// The dense storage is the only storage, so accessors and factorizations
+/// see exactly the matrix that was classified; the classification changes
+/// only *how fast* products are computed, never their bits (see the
+/// module docs for the exactness argument).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassifiedMatrix {
     dense: Matrix,
-    compact: Compact,
+    diagonal: bool,
 }
 
 impl ClassifiedMatrix {
-    /// Probes `m` and attaches the cheapest lossless storage.
+    /// Keeps `m`, recording whether it is square with every off-diagonal
+    /// entry `±0.0`.
     pub fn classify(m: Matrix) -> Self {
-        let compact = if let Some(d) = Diagonal::from_dense(&m) {
-            Compact::Diagonal(d)
-        } else if let Some(b) = Banded::from_dense(&m) {
-            Compact::Banded(b)
-        } else {
-            Compact::Dense
-        };
-        ClassifiedMatrix { dense: m, compact }
+        let diagonal = m.nrows() == m.ncols()
+            && (0..m.nrows()).all(|i| {
+                m.row(i)
+                    .iter()
+                    .enumerate()
+                    .all(|(j, &v)| i == j || v == 0.0)
+            });
+        ClassifiedMatrix { dense: m, diagonal }
     }
 
-    /// Wraps `m` with the dense fallback, skipping the probe.
-    pub fn dense_only(m: Matrix) -> Self {
-        ClassifiedMatrix {
-            dense: m,
-            compact: Compact::Dense,
-        }
-    }
-
-    /// The retained dense storage.
+    /// The dense storage.
     pub fn dense(&self) -> &Matrix {
         &self.dense
     }
 
-    /// The storage format the probe selected.
-    pub fn kind(&self) -> StorageKind {
-        match &self.compact {
-            Compact::Dense => StorageKind::Dense,
-            Compact::Diagonal(_) => StorageKind::Diagonal,
-            Compact::Banded(_) => StorageKind::Banded,
-        }
-    }
-
-    /// Stable kernel name for strategy tags and obs counters.
+    /// The kernel lane products with this operand run on, `"diagonal"`
+    /// or `"dense"`: the name kernel tags and obs counters use.
     pub fn kernel_name(&self) -> &'static str {
-        self.kind().name()
-    }
-}
-
-impl MatRead for ClassifiedMatrix {
-    fn nrows(&self) -> usize {
-        Matrix::nrows(&self.dense)
-    }
-    fn ncols(&self) -> usize {
-        Matrix::ncols(&self.dense)
-    }
-    fn at(&self, i: usize, j: usize) -> f64 {
-        self.dense[(i, j)]
-    }
-    fn kind(&self) -> StorageKind {
-        ClassifiedMatrix::kind(self)
-    }
-    fn occupancy(&self) -> f64 {
-        match &self.compact {
-            Compact::Dense => 1.0,
-            Compact::Diagonal(d) => MatRead::occupancy(d),
-            Compact::Banded(b) => MatRead::occupancy(b),
+        if self.diagonal {
+            "diagonal"
+        } else {
+            "dense"
         }
-    }
-    fn to_dense(&self) -> Matrix {
-        self.dense.clone()
     }
 }
 
 /// `C ← α·S·B + β·C` where `S` is classified.
 ///
-/// Dispatches to the banded/diagonal left kernel when `S` carries a
-/// compact form, and to the dense blocked GEMM otherwise; the results
-/// are bitwise identical either way (finite inputs).
+/// Runs the diagonal kernel when `S` is diagonal and the blocked GEMM
+/// otherwise; the results are bitwise identical either way (finite
+/// inputs).
 ///
 /// # Panics
 ///
 /// Panics if the shapes disagree (`S: m×k`, `B: k×n`, `C: m×n`).
 pub fn gemm_left_into(alpha: f64, s: &ClassifiedMatrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    match &s.compact {
-        Compact::Dense => gemm::gemm_into(alpha, &s.dense, b, beta, c),
-        Compact::Diagonal(d) => {
-            let n = d.diag.len();
-            banded_left(alpha, &s.dense, |i| (i.min(n), (i + 1).min(n)), b, beta, c);
-        }
-        Compact::Banded(bd) => {
-            banded_left(alpha, &s.dense, |i| bd.row_range(i), b, beta, c);
-        }
+    if s.diagonal {
+        diagonal_left(alpha, &s.dense, b, beta, c);
+    } else {
+        gemm::gemm_into(alpha, &s.dense, b, beta, c);
     }
 }
 
 /// `C ← α·A·S + β·C` where `S` is classified.
 ///
-/// Structured counterpart of [`gemm_left_into`] for right operands; same
-/// exactness contract.
+/// Right-operand counterpart of [`gemm_left_into`]; same exactness
+/// contract.
 ///
 /// # Panics
 ///
 /// Panics if the shapes disagree (`A: m×k`, `S: k×n`, `C: m×n`).
 pub fn gemm_right_into(alpha: f64, a: &Matrix, s: &ClassifiedMatrix, beta: f64, c: &mut Matrix) {
-    match &s.compact {
-        Compact::Dense => gemm::gemm_into(alpha, a, &s.dense, beta, c),
-        Compact::Diagonal(d) => {
-            let n = d.diag.len();
-            banded_right(alpha, a, &s.dense, |j| (j.min(n), (j + 1).min(n)), beta, c);
-        }
-        Compact::Banded(bd) => {
-            banded_right(alpha, a, &s.dense, |j| bd.col_range(j), beta, c);
-        }
+    if s.diagonal {
+        diagonal_right(alpha, a, &s.dense, beta, c);
+    } else {
+        gemm::gemm_into(alpha, a, &s.dense, beta, c);
     }
 }
 
-/// Shared `β` pass and trivial-case handling, mirroring
-/// [`crate::gemm::gemm_into`] exactly. Returns `true` when the multiply
-/// itself can be skipped.
-fn beta_pass(beta: f64, c: &mut Matrix, m: usize, n: usize, k: usize, alpha: f64) -> bool {
+/// Shape checks, `β` pass and trivial-case handling of an `(m×k)·(k×n)`
+/// product, mirroring [`crate::gemm::gemm_into`] exactly. Returns `true`
+/// when the multiply itself can be skipped.
+fn prologue(
+    alpha: f64,
+    (m, k): (usize, usize),
+    (kb, n): (usize, usize),
+    beta: f64,
+    c: &mut Matrix,
+) -> bool {
+    assert_eq!(k, kb, "shape mismatch in gemm: {m}x{k} * {kb}x{n}");
+    assert_eq!(
+        c.shape(),
+        (m, n),
+        "gemm output is {}x{}, expected {m}x{n}",
+        c.nrows(),
+        c.ncols()
+    );
     if beta == 0.0 {
         c.as_mut_slice().fill(0.0);
     } else if beta != 1.0 {
@@ -460,65 +142,37 @@ fn beta_pass(beta: f64, c: &mut Matrix, m: usize, n: usize, k: usize, alpha: f64
     m == 0 || n == 0 || k == 0 || alpha == 0.0
 }
 
-/// Structured left multiply `C += α·S·B` where row `i` of `S` is zero
-/// outside `[lo, hi) = band(i)` (its stored values live in the dense
-/// mirror `s`). Replays the dense per-element panel chain: one
-/// `c += α·acc` update per [`KC`] panel in ascending panel order.
-#[allow(clippy::needless_range_loop)] // k indexes srow AND b rows; indexed for clarity
-fn banded_left(
-    alpha: f64,
-    s: &Matrix,
-    band: impl Fn(usize) -> (usize, usize),
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-) {
-    let (m, k_dim) = s.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k_dim, kb, "shape mismatch in gemm: {m}x{k_dim} * {kb}x{n}");
-    assert_eq!(
-        c.shape(),
-        (m, n),
-        "gemm output is {}x{}, expected {m}x{n}",
-        Matrix::nrows(c),
-        Matrix::ncols(c)
-    );
-    if beta_pass(beta, c, m, n, k_dim, alpha) {
+/// Diagonal left multiply `C ← α·S·B + β·C`: row `i` of `S` holds its
+/// one possibly nonzero entry at column `i`. Replays the dense
+/// per-element panel chain: one `c += α·acc` update per [`KC`] panel in
+/// ascending panel order.
+fn diagonal_left(alpha: f64, s: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
+    let k_dim = s.ncols();
+    if prologue(alpha, s.shape(), b.shape(), beta, c) {
         return;
     }
-    // `c += α·(+0.0)` — the contribution of a panel with no in-band
-    // entries. Only observable when the output element is a signed
-    // zero, but applied unconditionally to keep those bits identical.
+    // `c += α·(+0.0)`, the contribution of a panel without the diagonal
+    // term. Only observable when the output element is a signed zero,
+    // but applied unconditionally to keep those bits identical.
     let zero_add = alpha * 0.0;
-    let mut acc_row = vec![0.0f64; n];
-    for i in 0..m {
-        let (lo, hi) = band(i);
+    for i in 0..s.nrows() {
         let srow = s.row(i);
         for pc in (0..k_dim).step_by(KC) {
             let p_end = (pc + KC).min(k_dim);
-            let (lo_p, hi_p) = (lo.max(pc), hi.min(p_end));
             let crow = c.row_mut(i);
-            if lo_p >= hi_p {
+            if !(pc..p_end).contains(&i) {
                 for v in crow.iter_mut() {
                     *v += zero_add;
                 }
                 continue;
             }
-            acc_row.fill(0.0);
-            for k in lo_p..hi_p {
-                let s_ik = srow[k];
-                for (acc, &bv) in acc_row.iter_mut().zip(b.row(k)) {
-                    *acc = s_ik.mul_add(bv, *acc);
-                }
-            }
-            for (j, (v, acc)) in crow.iter_mut().zip(&acc_row).enumerate() {
-                let mut acc = *acc;
+            for (j, (v, &bv)) in crow.iter_mut().zip(b.row(i)).enumerate() {
+                let mut acc = srow[i].mul_add(bv, 0.0);
                 if acc == 0.0 {
-                    // Signed-zero accumulator: replay the post-band FMA
-                    // suffix of the dense chain so the zero's sign
-                    // evolves identically.
-                    for k in hi_p..p_end {
-                        acc = 0.0f64.mul_add(b.row(k)[j], acc);
+                    // Signed-zero accumulator: replay the suffix of the
+                    // dense chain so the zero's sign evolves identically.
+                    for k in i + 1..p_end {
+                        acc = srow[k].mul_add(b[(k, j)], acc);
                     }
                 }
                 *v += alpha * acc;
@@ -527,53 +181,28 @@ fn banded_left(
     }
 }
 
-/// Structured right multiply `C += α·A·S` where column `j` of `S` is
-/// zero outside `[lo, hi) = band(j)`. Same panel-chain replay as
-/// [`banded_left`].
-#[allow(clippy::needless_range_loop)] // k indexes arow AND s rows; indexed for clarity
-fn banded_right(
-    alpha: f64,
-    a: &Matrix,
-    s: &Matrix,
-    band: impl Fn(usize) -> (usize, usize),
-    beta: f64,
-    c: &mut Matrix,
-) {
-    let (m, k_dim) = a.shape();
-    let (ks, n) = s.shape();
-    assert_eq!(k_dim, ks, "shape mismatch in gemm: {m}x{k_dim} * {ks}x{n}");
-    assert_eq!(
-        c.shape(),
-        (m, n),
-        "gemm output is {}x{}, expected {m}x{n}",
-        Matrix::nrows(c),
-        Matrix::ncols(c)
-    );
-    if beta_pass(beta, c, m, n, k_dim, alpha) {
+/// Diagonal right multiply `C ← α·A·S + β·C`: column `j` of `S` holds
+/// its one possibly nonzero entry at row `j`. Same panel-chain replay as
+/// [`diagonal_left`].
+fn diagonal_right(alpha: f64, a: &Matrix, s: &Matrix, beta: f64, c: &mut Matrix) {
+    let k_dim = a.ncols();
+    if prologue(alpha, a.shape(), s.shape(), beta, c) {
         return;
     }
     let zero_add = alpha * 0.0;
-    for i in 0..m {
+    for i in 0..a.nrows() {
         let arow = a.row(i);
         for pc in (0..k_dim).step_by(KC) {
             let p_end = (pc + KC).min(k_dim);
-            let crow = c.row_mut(i);
-            for (j, v) in crow.iter_mut().enumerate() {
-                let (lo, hi) = band(j);
-                let (lo_p, hi_p) = (lo.max(pc), hi.min(p_end));
-                if lo_p >= hi_p {
+            for (j, v) in c.row_mut(i).iter_mut().enumerate() {
+                if !(pc..p_end).contains(&j) {
                     *v += zero_add;
                     continue;
                 }
-                let mut acc = 0.0f64;
-                for k in lo_p..hi_p {
-                    acc = arow[k].mul_add(s[(k, j)], acc);
-                }
+                let mut acc = arow[j].mul_add(s[(j, j)], 0.0);
                 if acc == 0.0 {
-                    // Replay the post-band suffix: terms are a_ik·(+0.0),
-                    // whose sign follows a_ik.
-                    for k in hi_p..p_end {
-                        acc = arow[k].mul_add(0.0, acc);
+                    for k in j + 1..p_end {
+                        acc = arow[k].mul_add(s[(k, j)], acc);
                     }
                 }
                 *v += alpha * acc;
@@ -607,26 +236,17 @@ mod tests {
     fn classification_picks_expected_kinds() {
         let n = 24;
         let diag = Matrix::from_fn(n, n, |i, j| if i == j { i as f64 + 0.5 } else { 0.0 });
-        assert_eq!(ClassifiedMatrix::classify(diag).kind(), StorageKind::Diagonal);
+        assert_eq!(ClassifiedMatrix::classify(diag).kernel_name(), "diagonal");
+        // A negative zero off the diagonal is still a zero.
+        let signed = Matrix::from_fn(n, n, |i, j| if i == j { 1.0 } else { -0.0 });
+        assert_eq!(ClassifiedMatrix::classify(signed).kernel_name(), "diagonal");
+        // Any other structure runs the blocked GEMM, a narrow band too.
         let band = banded_probe(n, 1, 2, 1);
-        assert_eq!(ClassifiedMatrix::classify(band).kind(), StorageKind::Banded);
+        assert_eq!(ClassifiedMatrix::classify(band).kernel_name(), "dense");
         let dense = probe(n, n, 2);
-        assert_eq!(ClassifiedMatrix::classify(dense).kind(), StorageKind::Dense);
-        // Wide bands fall back to dense: storage above n/3.
-        let wide = banded_probe(n, 5, 5, 3);
-        assert_eq!(ClassifiedMatrix::classify(wide).kind(), StorageKind::Dense);
-    }
-
-    #[test]
-    fn storage_round_trips_through_dense() {
-        let n = 17;
-        let band = banded_probe(n, 2, 1, 4);
-        let b = Banded::from_dense(&band).expect("fits band storage");
-        assert_eq!(b.to_dense().max_abs_diff(&band), 0.0);
-        assert!(MatRead::occupancy(&b) < 0.3);
-        let diag = Matrix::from_fn(n, n, |i, j| if i == j { 2.0 } else { 0.0 });
-        let d = Diagonal::from_dense(&diag).expect("diagonal");
-        assert_eq!(d.to_dense().max_abs_diff(&diag), 0.0);
+        assert_eq!(ClassifiedMatrix::classify(dense).kernel_name(), "dense");
+        let wide = Matrix::from_fn(n, n + 1, |i, j| if i == j { 1.0 } else { 0.0 });
+        assert_eq!(ClassifiedMatrix::classify(wide).kernel_name(), "dense");
     }
 
     fn assert_bitwise_eq(lhs: &Matrix, rhs: &Matrix, what: &str) {
@@ -638,34 +258,29 @@ mod tests {
     #[test]
     fn structured_kernels_match_dense_gemm_bitwise() {
         // Sizes straddling the KC panel boundary so multi-panel chains
-        // (including empty and partial panels) are exercised.
+        // (including panels without the diagonal term) are exercised.
         for &n in &[13usize, 40, KC + 7] {
-            for s in [
-                ClassifiedMatrix::classify(Matrix::from_fn(n, n, |i, j| {
-                    if i == j {
-                        (i % 5) as f64 * 0.3
-                    } else {
-                        0.0
-                    }
-                })),
-                ClassifiedMatrix::classify(banded_probe(n, 2, 0, 5)),
-                ClassifiedMatrix::classify(banded_probe(n, 0, 3, 6)),
-            ] {
-                assert_ne!(s.kind(), StorageKind::Dense, "probe must find structure");
-                let b = probe(n, n, 7);
-                for &(alpha, beta) in &[(1.0, 0.0), (1.0, 1.0), (-0.5, 0.25)] {
-                    let c0 = probe(n, n, 8);
-                    let mut want = c0.clone();
-                    gemm_into(alpha, s.dense(), &b, beta, &mut want);
-                    let mut left = c0.clone();
-                    gemm_left_into(alpha, &s, &b, beta, &mut left);
-                    assert_bitwise_eq(&left, &want, "left");
-                    let mut want_r = c0.clone();
-                    gemm_into(alpha, &b, s.dense(), beta, &mut want_r);
-                    let mut right = c0.clone();
-                    gemm_right_into(alpha, &b, &s, beta, &mut right);
-                    assert_bitwise_eq(&right, &want_r, "right");
+            let s = ClassifiedMatrix::classify(Matrix::from_fn(n, n, |i, j| {
+                if i == j {
+                    (i % 5) as f64 * 0.3
+                } else {
+                    0.0
                 }
+            }));
+            assert_eq!(s.kernel_name(), "diagonal", "probe must find structure");
+            let b = probe(n, n, 7);
+            for &(alpha, beta) in &[(1.0, 0.0), (1.0, 1.0), (-0.5, 0.25)] {
+                let c0 = probe(n, n, 8);
+                let mut want = c0.clone();
+                gemm_into(alpha, s.dense(), &b, beta, &mut want);
+                let mut left = c0.clone();
+                gemm_left_into(alpha, &s, &b, beta, &mut left);
+                assert_bitwise_eq(&left, &want, "left");
+                let mut want_r = c0.clone();
+                gemm_into(alpha, &b, s.dense(), beta, &mut want_r);
+                let mut right = c0.clone();
+                gemm_right_into(alpha, &b, &s, beta, &mut right);
+                assert_bitwise_eq(&right, &want_r, "right");
             }
         }
     }
@@ -674,9 +289,11 @@ mod tests {
     fn signed_zero_corners_match_dense_gemm_bitwise() {
         // Zero diagonal entries, negative-zero data in B, and a
         // negative-zero output seed: the cases where the suffix-replay
-        // logic is what keeps the kernels exact.
+        // logic is what keeps the kernels exact. The second case has
+        // negative zeros off the diagonal and diagonal products that
+        // underflow to -0.0, so the replay must read the dense entries.
         let n = 9;
-        let s = ClassifiedMatrix::classify(Matrix::from_fn(n, n, |i, j| {
+        let zero_diagonal = Matrix::from_fn(n, n, |i, j| {
             if i == j && i % 2 == 0 {
                 0.0
             } else if i == j {
@@ -684,39 +301,50 @@ mod tests {
             } else {
                 0.0
             }
-        }));
-        assert_eq!(s.kind(), StorageKind::Diagonal);
-        let b = Matrix::from_fn(n, n, |i, j| match (i + j) % 4 {
+        });
+        let zero_data = Matrix::from_fn(n, n, |i, j| match (i + j) % 4 {
             0 => -0.0,
             1 => 0.0,
             2 => -((i + 1) as f64) * 0.1,
             _ => (j as f64) * 0.2,
         });
+        let tiny_diagonal = Matrix::from_fn(n, n, |i, j| if i == j { 1e-200 } else { -0.0 });
+        let underflowing = Matrix::from_fn(n, n, |i, j| match (i + j) % 3 {
+            0 => -1e-200,
+            1 => 0.5,
+            _ => -0.0,
+        });
         let c0 = Matrix::from_fn(n, n, |i, j| if (i + j) % 3 == 0 { -0.0 } else { 0.0 });
-        for &alpha in &[1.0, -1.0] {
-            let mut want = c0.clone();
-            gemm_into(alpha, s.dense(), &b, 1.0, &mut want);
-            let mut got = c0.clone();
-            gemm_left_into(alpha, &s, &b, 1.0, &mut got);
-            assert_bitwise_eq(&got, &want, "left signed-zero");
-            let mut want_r = c0.clone();
-            gemm_into(alpha, &b, s.dense(), 1.0, &mut want_r);
-            let mut got_r = c0.clone();
-            gemm_right_into(alpha, &b, &s, 1.0, &mut got_r);
-            assert_bitwise_eq(&got_r, &want_r, "right signed-zero");
+        for (s, b) in [(zero_diagonal, zero_data), (tiny_diagonal, underflowing)] {
+            let s = ClassifiedMatrix::classify(s);
+            assert_eq!(s.kernel_name(), "diagonal");
+            for &alpha in &[1.0, -1.0] {
+                let mut want = c0.clone();
+                gemm_into(alpha, s.dense(), &b, 1.0, &mut want);
+                let mut got = c0.clone();
+                gemm_left_into(alpha, &s, &b, 1.0, &mut got);
+                assert_bitwise_eq(&got, &want, "left signed-zero");
+                let mut want_r = c0.clone();
+                gemm_into(alpha, &b, s.dense(), 1.0, &mut want_r);
+                let mut got_r = c0.clone();
+                gemm_right_into(alpha, &b, &s, 1.0, &mut got_r);
+                assert_bitwise_eq(&got_r, &want_r, "right signed-zero");
+            }
         }
     }
 
     #[test]
     fn dense_fallback_preserved_for_unstructured_operands() {
         let n = 21;
-        let s = ClassifiedMatrix::classify(probe(n, n, 9));
-        assert_eq!(s.kind(), StorageKind::Dense);
         let b = probe(n, n, 10);
-        let mut want = Matrix::zeros(n, n);
-        gemm_into(1.0, s.dense(), &b, 0.0, &mut want);
-        let mut got = Matrix::zeros(n, n);
-        gemm_left_into(1.0, &s, &b, 0.0, &mut got);
-        assert_bitwise_eq(&got, &want, "dense fallback");
+        for s in [probe(n, n, 9), banded_probe(n, 2, 0, 5)] {
+            let s = ClassifiedMatrix::classify(s);
+            assert_eq!(s.kernel_name(), "dense");
+            let mut want = Matrix::zeros(n, n);
+            gemm_into(1.0, s.dense(), &b, 0.0, &mut want);
+            let mut got = Matrix::zeros(n, n);
+            gemm_left_into(1.0, &s, &b, 0.0, &mut got);
+            assert_bitwise_eq(&got, &want, "dense fallback");
+        }
     }
 }

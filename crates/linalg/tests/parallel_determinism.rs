@@ -8,15 +8,15 @@
 //! setting never has to be mutated from concurrently-running tests) at
 //! 1, 2 and 4 workers over randomized shapes that straddle the blocking
 //! boundaries — `m` not a multiple of the `MC` row panel, ragged
-//! micro-tiles — plus the banded↔dense classification edge where the
-//! structured kernels take over.
+//! micro-tiles — plus the classification edge between the diagonal
+//! kernels and the dense fallback.
 
 use proptest::prelude::*;
 
 use performa_linalg::gemm::{gemm_into_threaded, MC, MR};
 use performa_linalg::lu::LuWorkspace;
 use performa_linalg::storage::{gemm_left_into, gemm_right_into};
-use performa_linalg::{ClassifiedMatrix, Matrix, StorageKind};
+use performa_linalg::{ClassifiedMatrix, Matrix};
 
 fn matrix_from(vals: &[f64], nrows: usize, ncols: usize) -> Matrix {
     Matrix::from_fn(nrows, ncols, |i, j| vals[(i * ncols + j) % vals.len()] - 0.5)
@@ -93,9 +93,9 @@ proptest! {
         }
     }
 
-    /// Around the banded↔dense classification edge (`kl + ku + 1 ≈ n/3`)
-    /// the structured kernels and the dense fallback agree bitwise with
-    /// blocked GEMM, whichever side of the edge the probe lands on.
+    /// On banded blocks of every width, the diagonal kernels (bandwidth
+    /// zero) and the dense fallback (any other band) agree bitwise with
+    /// blocked GEMM, whichever lane the probe picks.
     #[test]
     fn classification_edge_matches_dense_bitwise(
         n in 9usize..48,
@@ -111,15 +111,9 @@ proptest! {
             }
         });
         let s = ClassifiedMatrix::classify(band);
-        // The probe must take the banded lane exactly when it pays off.
-        let expect_kind = if kl == 0 && ku == 0 {
-            StorageKind::Diagonal
-        } else if kl + ku < n / 3 {
-            StorageKind::Banded
-        } else {
-            StorageKind::Dense
-        };
-        prop_assert_eq!(s.kind(), expect_kind);
+        // The probe takes the diagonal lane exactly at bandwidth zero.
+        let expect_lane = if kl == 0 && ku == 0 { "diagonal" } else { "dense" };
+        prop_assert_eq!(s.kernel_name(), expect_lane);
 
         let b = matrix_from(&vals, n, n);
         let c0 = matrix_from(&vals[4..], n, n);

@@ -3,7 +3,7 @@
 //! Compiled to no-ops unless the crate is built with the
 //! `fault-injection` feature; release builds therefore pay nothing for
 //! the hooks. With the feature enabled, tests arm a thread-local
-//! [`FaultPlan`] describing which G-matrix stage to sabotage and how,
+//! `FaultPlan` describing which G-matrix stage to sabotage and how,
 //! then run [`crate::SolverSupervisor::solve`] (or a sweep) and assert
 //! that the watchdogs catch the corruption and the solve recovers or
 //! fails with a typed error:

@@ -32,7 +32,7 @@ pub struct FiniteQbd {
     a0: Matrix,
     a1: Matrix,
     /// Classified at construction: the backward sweep right-multiplies by
-    /// `A2` once per level, so the structured kernel pays off at every
+    /// `A2` once per level, so the diagonal kernel pays off at every
     /// level of a deep buffer.
     a2: ClassifiedMatrix,
     b00: Matrix,

@@ -263,14 +263,13 @@ pub struct SolveOptions {
     /// Optional warm-start seed for `G` — a converged `G` from a nearby
     /// model (e.g. the neighboring point of a parameter sweep).
     ///
-    /// When set, [`Qbd::solve_with`] first runs the *functional*
-    /// iteration `G ← (−A1)⁻¹(A2 + A0·G²)` from this seed; close seeds
-    /// converge in a handful of cheap iterations instead of a full
-    /// logarithmic-reduction solve. If the seeded iteration does not
-    /// converge within the budget, the solve falls back to a plain
-    /// cold-start logarithmic reduction, so the seed can never make a
-    /// solvable problem fail. A seed whose dimension does not match the
-    /// phase dimension is ignored.
+    /// Only the *functional* iteration `G ← (−A1)⁻¹(A2 + A0·G²)` of
+    /// [`Qbd::g_matrix_functional_with`] reads it: it starts from this
+    /// seed, and close seeds converge in a handful of cheap iterations
+    /// instead of a full logarithmic-reduction solve. The caller judges
+    /// the result (e.g. by [`Qbd::g_residual`]) and falls back to a cold
+    /// solve itself. [`Qbd::solve_with`] ignores the seed, as does the
+    /// iteration when its dimension does not match the phase dimension.
     pub initial_g: Option<Matrix>,
     /// Interruption of the `G` stages, probed at the amortized check
     /// stride: cancellation yields [`QbdError::Cancelled`], an
@@ -347,12 +346,14 @@ impl SolveOptions {
 /// For the paper's M/MMPP/1 cluster queue, use [`Qbd::m_mmpp1`].
 #[derive(Debug, Clone)]
 pub struct Qbd {
-    /// Interior blocks, probed for structure at construction
-    /// ([`ClassifiedMatrix::classify`]): for the paper's models `A0` and
-    /// `A2` are diagonal, so their products run on the structured
-    /// kernels — bitwise identical to dense, markedly cheaper.
+    /// Interior blocks. `A0` and `A2`, the operands of the classified
+    /// products, are classified at construction
+    /// ([`ClassifiedMatrix::classify`]): for the paper's models both are
+    /// diagonal, so their products run on the diagonal kernels, bitwise
+    /// identical to dense GEMM without its `O(m³)` multiply-adds. `A1`
+    /// carries the modulator generator and enters no such product.
     a0: ClassifiedMatrix,
-    a1: ClassifiedMatrix,
+    a1: Matrix,
     a2: ClassifiedMatrix,
     b00: Matrix,
     b01: Matrix,
@@ -463,7 +464,7 @@ impl Qbd {
 
         Ok(Qbd {
             a0: ClassifiedMatrix::classify(a0),
-            a1: ClassifiedMatrix::classify(a1),
+            a1,
             a2: ClassifiedMatrix::classify(a2),
             b00,
             b01,
@@ -554,7 +555,7 @@ impl Qbd {
 
     /// Phase-space dimension `m`.
     pub fn phase_dim(&self) -> usize {
-        self.a1.dense().nrows()
+        self.a1.nrows()
     }
 
     /// The up (arrival) block `A0`.
@@ -564,7 +565,7 @@ impl Qbd {
 
     /// The local block `A1`.
     pub fn a1(&self) -> &Matrix {
-        self.a1.dense()
+        &self.a1
     }
 
     /// The down (service) block `A2`.
@@ -572,14 +573,13 @@ impl Qbd {
         self.a2.dense()
     }
 
-    /// Kernel classification tag, e.g. `"a0:diagonal,a1:dense,a2:diagonal"`
-    /// — the `qbd.kernel` strategy tag the supervisor reports and the
-    /// observatory attributes speedups to.
+    /// Kernel lanes of the classified blocks, e.g.
+    /// `"a0:diagonal,a2:diagonal"` — the `qbd.kernel` strategy tag the
+    /// supervisor reports and the observatory attributes speedups to.
     pub fn kernel_tag(&self) -> String {
         format!(
-            "a0:{},a1:{},a2:{}",
+            "a0:{},a2:{}",
             self.a0.kernel_name(),
-            self.a1.kernel_name(),
             self.a2.kernel_name()
         )
     }
@@ -590,7 +590,7 @@ impl Qbd {
     ///
     /// [`QbdError::Linalg`] for a reducible phase process.
     pub fn phase_steady_state(&self) -> Result<Vector> {
-        let a = &(self.a0.dense() + self.a1.dense()) + self.a2.dense();
+        let a = &(self.a0.dense() + &self.a1) + self.a2.dense();
         // Solve φ·A = 0 with normalization (same construction as
         // performa-markov's steady_state; duplicated to keep the crate
         // dependency graph a simple chain).
@@ -700,7 +700,7 @@ impl Qbd {
             // k1 = H = (−Ã1)⁻¹·A0 (up), k2 = L = (−Ã1)⁻¹·Ã2 (down);
             // iterates x1 = G (seeded from L), x2 = T (seeded from H).
             // Unshifted, Ã1 = A1 and Ã2 = A2.
-            ws.t1.copy_from(self.a1.dense());
+            ws.t1.copy_from(&self.a1);
             ws.t1.scale_mut(-1.0);
             if hardening.shift {
                 // −Ã1 = −A1 − (A0ε)uᵀ.
@@ -862,7 +862,7 @@ impl Qbd {
         workspace::with(m, |ws| {
             // k1 = base = (−Ã1)⁻¹·Ã2, k2 = up = (−Ã1)⁻¹·A0; iterate
             // x1 = Ĝ seeded from base (Ã1 = A1, Ã2 = A2 unshifted).
-            ws.t1.copy_from(self.a1.dense());
+            ws.t1.copy_from(&self.a1);
             ws.t1.scale_mut(-1.0);
             if hardening.shift {
                 subtract_rank_one_rowsum(&mut ws.t1, &self.a0.dense().row_sums(), um);
@@ -1009,7 +1009,7 @@ impl Qbd {
                     }
                 }
                 // t1 ← −(A1 + A0·G), factored in place; next = t2.
-                ws.t1.copy_from(self.a1.dense());
+                ws.t1.copy_from(&self.a1);
                 gemm_left(1.0, &self.a0, &ws.x1, 1.0, &mut ws.t1);
                 ws.t1.scale_mut(-1.0);
                 ws.lu.factor_with(&ws.t1, hardening.inner_factor())?;
@@ -1069,7 +1069,7 @@ impl Qbd {
         let m = self.phase_dim();
         workspace::with(m, |ws| {
             // t1 ← −(A1 + A0·G), factored into the reusable workspace.
-            ws.t1.copy_from(self.a1.dense());
+            ws.t1.copy_from(&self.a1);
             gemm_left(1.0, &self.a0, g, 1.0, &mut ws.t1);
             ws.t1.scale_mut(-1.0);
             ws.lu.factor_with(&ws.t1, hardening.setup_factor())?;
@@ -1099,13 +1099,10 @@ impl Qbd {
         self.solve_with(SolveOptions::default())
     }
 
-    /// Full stationary solve: `G` → `R` → boundary vectors `(π₀, π₁)`.
-    ///
-    /// With [`SolveOptions::initial_g`] set, the `G` stage first tries
-    /// the functional iteration warm-started from the seed and falls
-    /// back to a cold logarithmic reduction if the seeded iteration
-    /// does not converge — the fallback path is bit-identical to a
-    /// seedless solve.
+    /// Full stationary solve: `G` by logarithmic reduction → `R` →
+    /// boundary vectors `(π₀, π₁)`. [`SolveOptions::initial_g`] is not
+    /// read; a warm start goes through [`Qbd::g_matrix_functional_with`]
+    /// and [`Qbd::solve_from_g`].
     ///
     /// # Errors
     ///
@@ -1129,32 +1126,12 @@ impl Qbd {
                 down_rate: down,
             });
         }
-        // A warm-start failure still falls back to cold logred — except
-        // for an interrupt, which must not be retried (the fallback
-        // would spin until its own next check, wasting the drain).
-        let warm = match opts.initial_g.as_ref() {
-            Some(seed) => match self.g_functional_counted(
-                opts.tolerance,
-                opts.max_iterations,
-                &opts.stop,
-                opts.hardening,
-                Some(seed),
-            ) {
-                Ok(pair) => Some(pair),
-                Err(e) if e.interrupt().is_some() => return Err(e),
-                Err(_) => None,
-            },
-            None => None,
-        };
-        let (g, iters) = match warm {
-            Some(pair) => pair,
-            None => self.g_logred_counted(
-                opts.tolerance,
-                opts.max_iterations,
-                &opts.stop,
-                opts.hardening,
-            )?,
-        };
+        let (g, iters) = self.g_logred_counted(
+            opts.tolerance,
+            opts.max_iterations,
+            &opts.stop,
+            opts.hardening,
+        )?;
         Ok((self.solve_from_g(g, opts.hardening)?, iters))
     }
 
@@ -1224,7 +1201,7 @@ impl Qbd {
             let mut geo_eps = Vector::zeros(m);
             ws.lu.solve_vec_into(&Vector::ones(m), &mut geo_eps)?;
             // a1_ra2 = A1 + R·A2.
-            let mut a1_ra2 = self.a1.dense().clone();
+            let mut a1_ra2 = self.a1.clone();
             gemm_right(1.0, &r, &self.a2, 1.0, &mut a1_ra2);
             Ok::<_, QbdError>((geo_eps, a1_ra2))
         })?;

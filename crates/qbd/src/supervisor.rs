@@ -356,8 +356,6 @@ pub struct StageAttempt {
     pub iterations: usize,
     /// Whether the attempt ran with any [`Hardening`] mitigation.
     pub hardened: bool,
-    /// Whether the attempt produced the accepted `G`.
-    pub converged: bool,
     /// Typed outcome ([`StageOutcome::Converged`] or the failure cause).
     pub outcome: StageOutcome,
 }
@@ -389,8 +387,8 @@ pub struct SolveReport {
     pub attempts: Vec<StageAttempt>,
     /// Wall-clock time of the whole solve.
     pub elapsed: Duration,
-    /// Storage kernels the repeating blocks were classified into, as a
-    /// `"a0:…,a1:…,a2:…"` tag (see [`Qbd::kernel_tag`]).
+    /// Kernel lanes the classified blocks run on, as an `"a0:…,a2:…"`
+    /// tag (see [`Qbd::kernel_tag`]).
     pub kernel: String,
 }
 
@@ -443,16 +441,6 @@ impl SolverSupervisor {
     /// Supervises `qbd` with explicit options.
     pub fn with_options(qbd: Qbd, options: SupervisorOptions) -> Self {
         SolverSupervisor { qbd, options }
-    }
-
-    /// The supervised model.
-    pub fn qbd(&self) -> &Qbd {
-        &self.qbd
-    }
-
-    /// The active options.
-    pub fn options(&self) -> &SupervisorOptions {
-        &self.options
     }
 
     /// Runs the `G` ladder and assembles the stationary solution.
@@ -582,7 +570,7 @@ impl SolverSupervisor {
             tolerance_requested: self.options.tolerance,
             tolerance_used: self.options.tolerance,
             condition_estimate: cond_r.max(cond_b),
-            degraded: attempts.iter().any(|a| !a.converged),
+            degraded: attempts.iter().any(|a| a.outcome != StageOutcome::Converged),
             warnings,
             attempts,
             elapsed: start.elapsed(),
@@ -661,7 +649,6 @@ impl SolverSupervisor {
                             attempts.push(StageAttempt {
                                 iterations,
                                 hardened: hardening.any(),
-                                converged: true,
                                 outcome: StageOutcome::Converged,
                             });
                             return Ok((g, iterations, residual, hardening));
@@ -707,7 +694,6 @@ impl SolverSupervisor {
             attempts.push(StageAttempt {
                 iterations,
                 hardened: hardening.any(),
-                converged: false,
                 outcome: StageOutcome::Failed(reason.clone()),
             });
             let retry = matches!(reason, StageFailureReason::NumericalBreakdown { .. })
@@ -799,7 +785,10 @@ mod tests {
         assert!(!report.degraded, "report: {}", report.summary());
         assert!(report.iterations > 0);
         assert!(report.residual.is_finite());
-        assert!(report.attempts.iter().all(|a| a.converged));
+        assert!(report
+            .attempts
+            .iter()
+            .all(|a| a.outcome == StageOutcome::Converged));
         assert_eq!(report.tolerance_used, report.tolerance_requested);
     }
 

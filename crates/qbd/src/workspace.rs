@@ -20,7 +20,7 @@
 use std::cell::RefCell;
 
 use performa_linalg::storage::{gemm_left_into, gemm_right_into};
-use performa_linalg::{gemm::gemm_into, lu::LuWorkspace, ClassifiedMatrix, Matrix, StorageKind};
+use performa_linalg::{gemm::gemm_into, lu::LuWorkspace, ClassifiedMatrix, Matrix};
 
 /// Scratch matrices and factorization storage for one phase dimension.
 ///
@@ -118,13 +118,12 @@ pub(crate) fn gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix
     gemm_into(alpha, a, b, beta, c);
 }
 
-/// Per-kernel attribution counter: `qbd.kernel.{dense,diagonal,banded}`.
+/// Per-kernel attribution counter: `qbd.kernel.{dense,diagonal}`.
 /// Counted *alongside* `qbd.gemm`, so the existing per-iteration GEMM
 /// accounting is unchanged by kernel classification.
 fn count_kernel(s: &ClassifiedMatrix) {
-    let metric = match s.kind() {
-        StorageKind::Diagonal => "qbd.kernel.diagonal",
-        StorageKind::Banded => "qbd.kernel.banded",
+    let metric = match s.kernel_name() {
+        "diagonal" => "qbd.kernel.diagonal",
         _ => "qbd.kernel.dense",
     };
     performa_obs::counter_add(metric, 1);

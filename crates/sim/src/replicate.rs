@@ -19,7 +19,7 @@
 //!   returns the replications completed so far, flagged via
 //!   [`ReplicationOutcome::deadline_hit`] / [`ReplicationOutcome::cancelled`];
 //! * **fault injection** (behind the `fault-injection` feature) — a
-//!   [`FaultPlan`] deterministically injects panics, NaN outputs and
+//!   `FaultPlan` deterministically injects panics, NaN outputs and
 //!   stalls to prove the above machinery works.
 //!
 //! The strict wrappers [`run_replications`] / [`replicated_ci`] demand

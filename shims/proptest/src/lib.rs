@@ -128,7 +128,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::fmt::Debug;
 
-    /// Length specification for [`vec`]: a fixed size or a size range.
+    /// Length specification for [`vec()`]: a fixed size or a size range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

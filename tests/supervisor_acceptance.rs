@@ -28,9 +28,7 @@ fn converged_logred_g_is_accepted_as_computed() {
 
     assert!(!report.degraded, "{}", report.summary());
     assert_eq!(report.attempts.len(), 1, "{:?}", report.attempts);
-    let attempt = &report.attempts[0];
-    assert!(attempt.converged);
-    assert_eq!(attempt.outcome, StageOutcome::Converged);
+    assert_eq!(report.attempts[0].outcome, StageOutcome::Converged);
     assert!(
         !report
             .warnings
