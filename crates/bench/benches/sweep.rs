@@ -2,13 +2,10 @@
 //! against the hand-rolled serial loop it replaced, on a reduced
 //! Fig. 1 grid.
 //!
-//! Three executions are compared on identical work:
+//! Two executions are compared on identical work:
 //!
 //! * `serial_loop` — the pre-engine pattern: rebuild + solve per point,
-//! * `plan_1thread` — the engine at one worker (measures engine + modulator-cache overhead/savings),
-//! * `plan_4threads_warm` — the engine at four workers with neighbor
-//!   warm-starting (the headline configuration; wall-clock gains need
-//!   real cores, so single-core CI mostly measures cache savings).
+//! * `plan_1thread` — the engine at one worker (measures engine + modulator-cache overhead/savings).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -50,16 +47,6 @@ fn bench_sweep(c: &mut Criterion) {
             let res = Scenario::new(model.clone(), Axis::Rho(grid.clone()))
                 .compile()
                 .with_options(SweepOptions::default().with_threads(1))
-                .run_map(|sol| sol.normalized_mean_queue_length());
-            black_box(res.expect_values("stable").iter().sum::<f64>())
-        })
-    });
-
-    g.bench_function("plan_4threads_warm", |b| {
-        b.iter(|| {
-            let res = Scenario::new(model.clone(), Axis::Rho(grid.clone()))
-                .compile()
-                .with_options(SweepOptions::default().with_threads(4).with_warm_start(true))
                 .run_map(|sol| sol.normalized_mean_queue_length());
             black_box(res.expect_values("stable").iter().sum::<f64>())
         })

@@ -775,6 +775,7 @@ pub fn run<W: std::io::Write>(command: &str, args: &Args, out: &mut W) -> Result
                     writeln!(out, "store          : {}", path.display()).map_err(io)?;
                     writeln!(out, "frames         : {}", stats.frames).map_err(io)?;
                     writeln!(out, "records        : {}", stats.records).map_err(io)?;
+                    writeln!(out, "stale frames   : {}", stats.stale).map_err(io)?;
                     writeln!(out, "torn tail bytes: {}", stats.torn_tail_bytes).map_err(io)?;
                     writeln!(
                         out,
@@ -1575,7 +1576,37 @@ mod tests {
         assert_eq!(status, RunStatus::Exact);
         let report = String::from_utf8(buf).unwrap();
         assert!(report.contains("records        : 3"), "{report}");
+        assert!(report.contains("stale frames   : 0"), "{report}");
         assert!(report.contains("torn tail bytes: 0"), "{report}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn store_verify_counts_stale_frames_of_the_layout_with_g() {
+        use performa_store::frame::{encode_frame, MAGIC};
+        let path = std::env::temp_dir().join(format!(
+            "performa_cli_store_stale_{}.log",
+            std::process::id()
+        ));
+        // A tag-1 solved record of earlier builds: the key, m = 1, then
+        // π₀, π₁, R and G.
+        let mut payload = vec![1u8];
+        payload.extend(4u32.to_le_bytes());
+        payload.extend(b"n=1;");
+        payload.extend(1u32.to_le_bytes());
+        payload.extend(0.5f64.to_bits().to_le_bytes());
+        payload.extend(1u32.to_le_bytes());
+        for x in [0.5f64, 0.25, 0.5, 1.0] {
+            payload.extend(x.to_bits().to_le_bytes());
+        }
+        std::fs::write(&path, [&MAGIC[..], &encode_frame(&payload)].concat()).unwrap();
+        let verify_args = args(&[("store", path.to_str().unwrap())]);
+        let mut buf = Vec::new();
+        let status = run("store-verify", &verify_args, &mut buf).unwrap();
+        assert_eq!(status, RunStatus::Exact);
+        let report = String::from_utf8(buf).unwrap();
+        assert!(report.contains("frames         : 1"), "{report}");
+        assert!(report.contains("stale frames   : 1"), "{report}");
         std::fs::remove_file(&path).ok();
     }
 

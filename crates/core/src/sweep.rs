@@ -16,25 +16,18 @@
 //!    of `performa_sim::replicate`) and collect results **in index
 //!    order**, so the output is deterministic regardless of thread
 //!    count.
-//! 3. Two caching layers cut redundant work: a **modulator cache**
-//!    shares the lumped MMPP service process between points whose
-//!    failure/repair side is identical (every λ/ρ sweep), and
-//!    **neighbor warm-starting** seeds each worker's next `G` solve
-//!    with its previous converged `G`
-//!    ([`performa_qbd::SolveOptions::initial_g`]), falling back to a
-//!    cold solve whenever the seeded iteration does not converge or
-//!    its residual is not acceptable.
+//! 3. A **modulator cache** shares the lumped MMPP service process
+//!    between points whose failure/repair side is identical (every λ/ρ
+//!    sweep), so a point builds only its QBD and solves it.
 //!
 //! # Determinism
 //!
-//! With the default [`SweepOptions`] the engine is **bit-identical** to
-//! the serial loop `for x { axis.apply(template, x).solve() }`: each
-//! point is an independent plain [`ClusterModel::solve`] (the cached
-//! modulator is built by the same deterministic construction it
-//! replaces), and results are stored by index. Warm-starting
-//! (`warm_start: true`) trades bit-identity for speed: accepted seeds
-//! converge to the same `G` only up to the acceptance residual (see
-//! [`SweepOptions::warm_start`]).
+//! The engine is **bit-identical** to the serial loop
+//! `for x { axis.apply(template, x).solve() }`: each point is an
+//! independent plain [`ClusterModel::solve`] (the cached modulator is
+//! built by the same deterministic construction it replaces), and
+//! results are stored by index. A durable-store replay hands back the
+//! stored parts of the original solve, so it is bit-identical too.
 //!
 //! # Example
 //!
@@ -74,17 +67,6 @@ use crate::ctrl::{Interrupt, RunBudget, Stop};
 use crate::model::ClusterModel;
 use crate::solution::ClusterSolution;
 use crate::{CoreError, Result};
-
-/// Relative residual acceptance for warm-started `G` candidates: a
-/// seeded functional iteration is accepted only if
-/// `‖A2 + A1·G + A0·G²‖∞ ≤ WARM_ACCEPT_TOL × (‖A0‖ + ‖A1‖ + ‖A2‖)`
-/// (the supervisor's block-scaled residual metric); otherwise the point
-/// falls back to a cold logarithmic-reduction solve.
-const WARM_ACCEPT_TOL: f64 = 1e-12;
-
-/// Iteration budget of a warm-started functional attempt before the
-/// point falls back to a cold solve.
-const WARM_BUDGET: usize = 2000;
 
 /// A refinable one-dimensional grid of sweep coordinates.
 ///
@@ -285,12 +267,6 @@ pub struct SweepOptions {
     /// Worker threads; `0` means all available parallelism. The thread
     /// count never changes results — collection is index-ordered.
     pub threads: usize,
-    /// Seed each worker's next `G` solve with its previous converged
-    /// `G` (neighbor warm-starting). Accepted seeds agree with a cold
-    /// solve only up to the acceptance residual, so this is off by
-    /// default; leave it off when bit-identity with the serial loop
-    /// matters.
-    pub warm_start: bool,
     /// Durable result store. When set, the pool consults the store
     /// before solving each point (a hit replays the persisted solution
     /// bit-identically via [`performa_qbd::QbdSolution::from_parts`])
@@ -339,13 +315,6 @@ impl SweepOptions {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Enables or disables neighbor warm-starting.
-    #[must_use]
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
         self
     }
 
@@ -567,8 +536,8 @@ impl SweepPlan {
         F: Fn(&ClusterSolution) -> T + Sync,
     {
         let ctx = ExecContext::new(self);
-        let points = self.execute(&ctx, |point, i, worker, cost| {
-            ctx.solve_point(point, i, worker, cost).map(|sol| f(&sol))
+        let points = self.execute(&ctx, |point, i, cost| {
+            ctx.solve_point(point, i, cost).map(|sol| f(&sol))
         });
         ctx.finish(points)
     }
@@ -582,7 +551,7 @@ impl SweepPlan {
         F: Fn(&ClusterModel) -> Result<T> + Sync,
     {
         let ctx = ExecContext::new(self);
-        let points = self.execute(&ctx, |point, _, _, _| f(point.model()?));
+        let points = self.execute(&ctx, |point, _, _| f(point.model()?));
         ctx.finish(points)
     }
 
@@ -593,7 +562,7 @@ impl SweepPlan {
     fn execute<T, F>(&self, ctx: &ExecContext<'_>, job: F) -> Vec<SweepPoint<T>>
     where
         T: Send,
-        F: Fn(&PlanPoint, usize, &mut WorkerState, &mut PointCost) -> Result<T> + Sync,
+        F: Fn(&PlanPoint, usize, &mut PointCost) -> Result<T> + Sync,
     {
         let n = self.points.len();
         let threads = effective_threads(self.options.threads, n);
@@ -607,7 +576,6 @@ impl SweepPlan {
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    let mut worker = WorkerState::default();
                     loop {
                         // Cancellation / budget-exhaustion checkpoint:
                         // once the run is stopping no further points are
@@ -634,22 +602,17 @@ impl SweepPlan {
                         // One bad point must not kill the sweep: typed
                         // errors flow into the slot, and a panic in the
                         // solver is captured the same way.
-                        let out = catch_unwind(AssertUnwindSafe(|| {
-                            job(point, i, &mut worker, &mut cost)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(CoreError::InvalidParameter {
-                                message: format!(
-                                    "sweep point {i} panicked: {}",
-                                    panic_message(payload.as_ref())
-                                ),
-                            })
-                        });
+                        let out = catch_unwind(AssertUnwindSafe(|| job(point, i, &mut cost)))
+                            .unwrap_or_else(|payload| {
+                                Err(CoreError::InvalidParameter {
+                                    message: format!(
+                                        "sweep point {i} panicked: {}",
+                                        panic_message(payload.as_ref())
+                                    ),
+                                })
+                            });
                         cost.elapsed = started.elapsed();
-                        let solved = matches!(
-                            cost.source,
-                            CostSource::Warm | CostSource::Cold | CostSource::Retry
-                        );
+                        let solved = matches!(cost.source, CostSource::Cold | CostSource::Retry);
                         if out.is_ok() && solved {
                             // Feed the budget's cost EWMA with real solve
                             // times only — store replays are microseconds
@@ -749,13 +712,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Per-worker mutable state: the last converged `G` of this worker,
-/// used as the warm-start seed of its next claimed point.
-#[derive(Default)]
-struct WorkerState {
-    last_g: Option<Matrix>,
-}
-
 /// Shared execution context of one run: the modulator cache and the
 /// run's counters.
 struct ExecContext<'a> {
@@ -765,8 +721,6 @@ struct ExecContext<'a> {
     modulators: Vec<OnceLock<std::result::Result<Arc<Mmpp>, String>>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    warm_accepted: AtomicU64,
-    warm_rejected: AtomicU64,
     store_hits: AtomicU64,
     store_appends: AtomicU64,
     retries: AtomicU64,
@@ -787,8 +741,6 @@ impl<'a> ExecContext<'a> {
             modulators: (0..plan.groups).map(|_| OnceLock::new()).collect(),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            warm_accepted: AtomicU64::new(0),
-            warm_rejected: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
             store_appends: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -898,7 +850,6 @@ impl<'a> ExecContext<'a> {
         &self,
         point: &PlanPoint,
         index: usize,
-        worker: &mut WorkerState,
         cost: &mut PointCost,
     ) -> Result<ClusterSolution> {
         let model = point.model()?;
@@ -913,19 +864,19 @@ impl<'a> ExecContext<'a> {
             });
         }
         let Some(store) = &self.plan.options.store else {
-            return self.solve(point, model, index, worker, cost);
+            return self.solve(point, model, index, cost);
         };
         let key = store_key(model, point.x);
         if let Some(replayed) = self.lookup(store, &key, model, cost) {
             return replayed;
         }
-        let outcome = self.solve(point, model, index, worker, cost);
+        let outcome = self.solve(point, model, index, cost);
         self.persist(store, &key, &outcome)?;
         outcome
     }
 
     /// The store's answer for `key`, when it has one to replay: a solved
-    /// record rebuilds its solution bit-identically, a failure record
+    /// record hands back its stored parts, a failure record
     /// replays as [`CoreError::ReplayedFailure`] unless the run retries
     /// failures. `None` means the point must be solved.
     fn lookup(
@@ -936,9 +887,15 @@ impl<'a> ExecContext<'a> {
         cost: &mut PointCost,
     ) -> Option<Result<ClusterSolution>> {
         let replayed = match store.get(key)? {
-            PointRecord::Solved { m, pi0, pi1, r, g } => {
-                replay_solved(model, m as usize, pi0, pi1, r, g)
-            }
+            PointRecord::Solved {
+                m,
+                pi0,
+                pi1,
+                r,
+                s1,
+                s2,
+                s3,
+            } => replay_solved(model, m as usize, pi0, pi1, r, [s1, s2, s3]),
             PointRecord::Failed { .. } if self.plan.options.retry_failed => return None,
             PointRecord::Failed { kind, message } => {
                 Err(CoreError::ReplayedFailure { kind, message })
@@ -963,12 +920,15 @@ impl<'a> ExecContext<'a> {
         let record = match outcome {
             Ok(sol) => {
                 let q = sol.qbd();
+                let [s1, s2, s3] = q.geometric_sums().each_ref().map(|s| s.as_slice().to_vec());
                 PointRecord::Solved {
                     m: q.phase_dim() as u32,
                     pi0: q.pi0().as_slice().to_vec(),
                     pi1: q.pi1().as_slice().to_vec(),
                     r: q.r_matrix().as_slice().to_vec(),
-                    g: q.g_matrix().as_slice().to_vec(),
+                    s1,
+                    s2,
+                    s3,
                 }
             }
             Err(e) => match failure_kind(e) {
@@ -986,13 +946,13 @@ impl<'a> ExecContext<'a> {
         Ok(())
     }
 
-    /// Solves one point: the cached modulator, the optional warm start,
-    /// then the plain cold solve — exactly `ClusterModel::solve`'s
-    /// solver invocation. A [`retryable`] failure earns one hardened
-    /// retry under a fresh point stop: near the blow-up thresholds the
-    /// default-tolerance solve occasionally breaks down where the
-    /// hardened schedule still converges, and the retry can only turn
-    /// an error into a solution, so solved points stay bit-identical.
+    /// Solves one point: the cached modulator, then the plain cold
+    /// solve — exactly `ClusterModel::solve`'s solver invocation. A
+    /// [`retryable`] failure earns one hardened retry under a fresh
+    /// point stop: near the blow-up thresholds the default-tolerance
+    /// solve occasionally breaks down where the hardened schedule
+    /// still converges, and the retry can only turn an error into a
+    /// solution, so solved points stay bit-identical.
     /// A point whose first attempt and retry both trip their deadlines
     /// is quarantined; any other second error stands.
     fn solve(
@@ -1000,17 +960,11 @@ impl<'a> ExecContext<'a> {
         point: &PlanPoint,
         model: &ClusterModel,
         index: usize,
-        worker: &mut WorkerState,
         cost: &mut PointCost,
     ) -> Result<ClusterSolution> {
         let mmpp = self.modulator(point, model)?;
         let qbd = Qbd::m_mmpp1(model.arrival_rate(), mmpp.generator(), mmpp.rates())?;
         let stop = self.point_stop(index)?;
-        if self.plan.options.warm_start {
-            if let Some(sol) = self.try_warm(&qbd, model, &stop, worker, cost)? {
-                return Ok(sol);
-            }
-        }
         cost.source = CostSource::Cold;
         cost.strategy = "logred";
         let (sol, iters) = match qbd.solve_with_count(SolveOptions::default().with_stop(stop)) {
@@ -1031,65 +985,7 @@ impl<'a> ExecContext<'a> {
             first => first.map_err(point_error)?,
         };
         cost.iterations = iters as u64;
-        if self.plan.options.warm_start {
-            worker.last_g = Some(sol.g_matrix().clone());
-        }
         Ok(ClusterSolution::new(model.clone(), sol))
-    }
-
-    /// Attempts a warm-started solve from the worker's previous `G`.
-    /// Returns `Ok(None)` (after counting the rejection) when there is
-    /// no usable seed, the seeded iteration fails to converge within
-    /// [`WARM_BUDGET`], or the converged candidate's residual is above
-    /// the acceptance threshold — the caller then cold-starts. A
-    /// cancellation aborts outright (`Err`); a deadline trip rejects
-    /// like any other warm failure, so the cold attempt trips the same
-    /// already-expired deadline at its first check and the retry ladder
-    /// proceeds normally.
-    fn try_warm(
-        &self,
-        qbd: &Qbd,
-        model: &ClusterModel,
-        stop: &Stop,
-        worker: &mut WorkerState,
-        cost: &mut PointCost,
-    ) -> Result<Option<ClusterSolution>> {
-        let Some(seed) = worker
-            .last_g
-            .as_ref()
-            .filter(|g| g.nrows() == qbd.phase_dim())
-        else {
-            return Ok(None);
-        };
-        let opts = SolveOptions::default()
-            .with_initial_g(seed.clone())
-            .with_max_iterations(WARM_BUDGET)
-            .with_stop(stop.clone());
-        let (g, warm_iters) = match qbd.g_matrix_functional_with_count(opts) {
-            Ok(pair) => pair,
-            Err(e @ QbdError::Cancelled { .. }) => return Err(point_error(e)),
-            Err(_) => {
-                self.warm_rejected.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
-        };
-        let scale = qbd.a0().norm_inf() + qbd.a1().norm_inf() + qbd.a2().norm_inf();
-        // NaN residuals must reject, hence the explicit is_nan arm.
-        let residual = qbd.g_residual(&g);
-        if residual.is_nan() || residual > WARM_ACCEPT_TOL * scale {
-            self.warm_rejected.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        }
-        self.warm_accepted.fetch_add(1, Ordering::Relaxed);
-        performa_obs::counter_add("sweep.warm_start_accepted", 1);
-        worker.last_g = Some(g.clone());
-        let Ok(sol) = qbd.solve_from_g(g, performa_qbd::Hardening::default()) else {
-            return Ok(None);
-        };
-        cost.source = CostSource::Warm;
-        cost.strategy = "functional";
-        cost.iterations = warm_iters as u64;
-        Ok(Some(ClusterSolution::new(model.clone(), sol)))
     }
 
     /// Assembles the run statistics, flushes the store, and emits the
@@ -1120,8 +1016,6 @@ impl<'a> ExecContext<'a> {
             quarantined: self.quarantined.load(Ordering::Relaxed) as usize,
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            warm_accepted: self.warm_accepted.load(Ordering::Relaxed),
-            warm_rejected: self.warm_rejected.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_appends: self.store_appends.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
@@ -1139,36 +1033,28 @@ impl<'a> ExecContext<'a> {
 
 /// Rebuilds a [`ClusterSolution`] from a persisted solved record.
 /// The stored vectors carry the exact bits of the original solve,
-/// and [`QbdSolution::from_parts`] recomputes the derived caches
-/// through the same deterministic path — so every metric read off
-/// the replayed solution is bit-identical to the original.
+/// geometric sums included, and [`QbdSolution::from_parts`] recomputes
+/// nothing — so every metric read off the replayed solution is
+/// bit-identical to the original.
 fn replay_solved(
     model: &ClusterModel,
     m: usize,
     pi0: Vec<f64>,
     pi1: Vec<f64>,
     r: Vec<f64>,
-    g: Vec<f64>,
+    sums: [Vec<f64>; 3],
 ) -> Result<ClusterSolution> {
-    if pi0.len() != m || pi1.len() != m {
-        return Err(CoreError::Store {
-            message: format!(
-                "stored record is inconsistent: m = {m} but boundary vectors have {} / {} \
-                 entries",
-                pi0.len(),
-                pi1.len()
-            ),
-        });
-    }
-    let to_matrix = |data: Vec<f64>, name: &str| {
-        Matrix::from_vec(m, m, data).map_err(|e| CoreError::Store {
-            message: format!("stored {name} matrix malformed: {e}"),
-        })
+    let inconsistent = |e: &dyn std::fmt::Display| CoreError::Store {
+        message: format!("stored record is inconsistent: {e}"),
     };
-    let r = to_matrix(r, "R")?;
-    let g = to_matrix(g, "G")?;
-    let sol = QbdSolution::from_parts(Vector::from(pi0), Vector::from(pi1), r, g)
-        .map_err(CoreError::from)?;
+    let r = Matrix::from_vec(m, m, r).map_err(|e| inconsistent(&e))?;
+    let sol = QbdSolution::from_parts(
+        Vector::from(pi0),
+        Vector::from(pi1),
+        r,
+        sums.map(Vector::from),
+    )
+    .map_err(|e| inconsistent(&e))?;
     Ok(ClusterSolution::new(model.clone(), sol))
 }
 
@@ -1183,8 +1069,6 @@ pub enum CostSource {
     Skipped,
     /// Replayed bit-exactly from the durable result store.
     Store,
-    /// Warm-started functional iteration accepted by the residual gate.
-    Warm,
     /// Cold solve on the default path (logarithmic reduction).
     Cold,
     /// Cold solve that needed the hardened retry of the ladder.
@@ -1192,13 +1076,11 @@ pub enum CostSource {
 }
 
 impl CostSource {
-    /// Short stable label (`store`, `warm`, `cold`, `retry`,
-    /// `skipped`).
+    /// Short stable label (`store`, `cold`, `retry`, `skipped`).
     pub fn label(&self) -> &'static str {
         match self {
             CostSource::Skipped => "skipped",
             CostSource::Store => "store",
-            CostSource::Warm => "warm",
             CostSource::Cold => "cold",
             CostSource::Retry => "retry",
         }
@@ -1215,8 +1097,7 @@ pub struct PointCost {
     /// Solver `G`-stage iterations (0 for replayed or analytic points).
     pub iterations: u64,
     /// `G`-strategy key: `logred` (cold solve and its hardened retry),
-    /// `functional` (accepted warm start), `replay`, or empty when no
-    /// solver ran.
+    /// `replay`, or empty when no solver ran.
     pub strategy: &'static str,
     /// The path that produced the outcome.
     pub source: CostSource,
@@ -1257,10 +1138,6 @@ pub struct SweepStats {
     pub cache_hits: u64,
     /// Modulator-cache misses (points that built a lumped MMPP).
     pub cache_misses: u64,
-    /// Warm-started `G` solves accepted by the residual test.
-    pub warm_accepted: u64,
-    /// Warm attempts that fell back to a cold solve.
-    pub warm_rejected: u64,
     /// Points replayed from the durable result store (solved records
     /// and non-retried failure records alike).
     pub store_hits: u64,
@@ -1430,42 +1307,6 @@ mod tests {
             .run_map(|sol| sol.mean_queue_length());
         assert_eq!(cached.stats().cache_misses, 1);
         assert_eq!(cached.stats().cache_hits, (n - 1) as u64);
-    }
-
-    #[test]
-    fn warm_start_agrees_with_cold_across_rho1_threshold() {
-        let _guard = performa_obs::test_lock();
-        // Grid straddling the first blow-up threshold ρ₁ = 0.6087 of
-        // the N = 2, δ = 0.2, A = 0.9 base cluster.
-        let grid = Grid::linear(0.58, 0.64, 6).refine_near(&[0.6087]).into_values();
-        let plan = Scenario::new(cluster(4, 0.5), Axis::Rho(grid)).compile();
-
-        let cold = plan
-            .clone()
-            .with_options(SweepOptions {
-                threads: 1,
-                ..SweepOptions::default()
-            })
-            .run();
-        let warm = plan
-            .with_options(SweepOptions {
-                threads: 1,
-                warm_start: true,
-                ..SweepOptions::default()
-            })
-            .run();
-        assert!(
-            warm.stats().warm_accepted >= 1,
-            "warm starts should be accepted on a fine grid, stats = {:?}",
-            warm.stats()
-        );
-        for (c, w) in cold.points().iter().zip(warm.points()) {
-            let (c, w) = (c.outcome.as_ref().unwrap(), w.outcome.as_ref().unwrap());
-            let dg = c.qbd().g_matrix().max_abs_diff(w.qbd().g_matrix());
-            assert!(dg <= 1e-10, "G agreement at x = {}: ‖ΔG‖ = {dg:.3e}", 0);
-            let dm = (c.mean_queue_length() - w.mean_queue_length()).abs();
-            assert!(dm <= 1e-8, "metric agreement: Δ = {dm:.3e}");
-        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ fn main() {
     // the sweep engine, summarised from the per-point `PointCost`
     // records — where the reproduction spends its solves.
     {
-        use performa_core::{Axis, Scenario, SweepOptions, SweepPlan};
+        use performa_core::{Axis, Scenario, SweepPlan};
         println!("\n# solver cost per figure (coarse grids)\n");
         println!(
             "{:<26} {:>6} {:>10} {:>8}  strategy mix",
@@ -203,7 +203,6 @@ fn main() {
         for (label, template, grid) in figures {
             let result = Scenario::new(template, Axis::Rho(grid))
                 .compile()
-                .with_options(SweepOptions::default().with_warm_start(true))
                 .run_map(|sol| sol.normalized_mean_queue_length());
             let mut mix: std::collections::BTreeMap<&'static str, usize> =
                 std::collections::BTreeMap::new();

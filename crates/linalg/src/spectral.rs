@@ -5,32 +5,47 @@
 //! the spectral radius `sp(R)` — the geometric decay rate of the
 //! queue-length distribution outside power-law regions.
 
+use crate::gemm::gemm_into;
 use crate::{LinalgError, Matrix, Result, Vector};
 
 /// Computes `Aᵏ` by binary exponentiation (`A⁰ = I`).
+///
+/// The product starts as a copy of the first power the expansion of
+/// `k` needs, not as `I` times it: a blocked-GEMM output never depends
+/// on the sign of a zero input, so every later product is unchanged.
+/// Products ping-pong through one spare buffer.
 ///
 /// # Panics
 ///
 /// Panics if `a` is not square.
 pub fn matrix_power(a: &Matrix, k: usize) -> Matrix {
     assert!(a.is_square(), "matrix_power: operand must be square");
-    let mut result = Matrix::identity(a.nrows());
+    let n = a.nrows();
     if k == 0 {
-        return result;
+        return Matrix::identity(n);
     }
     let mut base = a.clone();
+    let mut spare = Matrix::zeros(n, n);
+    let mut result: Option<Matrix> = None;
     let mut k = k;
     loop {
         if k & 1 == 1 {
-            result = &result * &base;
+            result = Some(match result.take() {
+                None => base.clone(),
+                Some(r) => {
+                    gemm_into(1.0, &r, &base, 0.0, &mut spare);
+                    std::mem::replace(&mut spare, r)
+                }
+            });
         }
         k >>= 1;
         if k == 0 {
             break;
         }
-        base = &base * &base;
+        gemm_into(1.0, &base, &base, 0.0, &mut spare);
+        std::mem::swap(&mut base, &mut spare);
     }
-    result
+    result.expect("k > 0 has a set bit")
 }
 
 /// Options for [`spectral_radius`].

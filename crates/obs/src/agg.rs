@@ -558,9 +558,7 @@ pub fn diff(a: &Aggregate, b: &Aggregate, threshold: f64) -> DiffReport {
         let cb = b.counters.get(name).copied().unwrap_or(0.0);
         // More work (iterations, retries, drops, refine sweeps) is a
         // regression signal; more cache/store hits is not.
-        let work_like = !name.contains("cache_hit")
-            && !name.contains("warm_start")
-            && !name.contains("store.hit");
+        let work_like = !name.contains("cache_hit") && !name.contains("store.hit");
         let regressed = work_like && ca > 0.0 && cb > ca * (1.0 + threshold);
         report.counters.push(DeltaRow {
             name: name.clone(),

@@ -16,7 +16,7 @@
 //!   `NoConvergence` (or, with a deadline set, `DeadlineExceeded`).
 //!
 //! Stage keys are `"logred"` (the supervisor's and the plain solve's
-//! stage), `"functional"` (warm starts) and `"neuts"`.
+//! stage), `"functional"` and `"neuts"`.
 
 #[cfg(feature = "fault-injection")]
 mod imp {

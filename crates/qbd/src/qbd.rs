@@ -260,17 +260,6 @@ pub struct SolveOptions {
     pub max_iterations: usize,
     /// Numerical hardening applied to the `G` stages (default: none).
     pub hardening: Hardening,
-    /// Optional warm-start seed for `G` — a converged `G` from a nearby
-    /// model (e.g. the neighboring point of a parameter sweep).
-    ///
-    /// Only the *functional* iteration `G ← (−A1)⁻¹(A2 + A0·G²)` of
-    /// [`Qbd::g_matrix_functional_with`] reads it: it starts from this
-    /// seed, and close seeds converge in a handful of cheap iterations
-    /// instead of a full logarithmic-reduction solve. The caller judges
-    /// the result (e.g. by [`Qbd::g_residual`]) and falls back to a cold
-    /// solve itself. [`Qbd::solve_with`] ignores the seed, as does the
-    /// iteration when its dimension does not match the phase dimension.
-    pub initial_g: Option<Matrix>,
     /// Interruption of the `G` stages, probed at the amortized check
     /// stride: cancellation yields [`QbdError::Cancelled`], an
     /// expired deadline [`QbdError::DeadlineExceeded`]. The default
@@ -284,7 +273,6 @@ impl Default for SolveOptions {
             tolerance: 1e-14,
             max_iterations: 200,
             hardening: Hardening::default(),
-            initial_g: None,
             stop: Stop::default(),
         }
     }
@@ -318,14 +306,6 @@ impl SolveOptions {
     #[must_use]
     pub fn with_hardening(mut self, hardening: Hardening) -> Self {
         self.hardening = hardening;
-        self
-    }
-
-    /// The same options with a warm-start seed for `G` (see
-    /// [`SolveOptions::initial_g`]).
-    #[must_use]
-    pub fn with_initial_g(mut self, g: Matrix) -> Self {
-        self.initial_g = Some(g);
         self
     }
 
@@ -800,14 +780,12 @@ impl Qbd {
                 max_iterations,
                 &Stop::default(),
                 Hardening::default(),
-                None,
             )?
             .0)
     }
 
     /// [`Qbd::g_matrix_functional`] with explicit [`SolveOptions`],
-    /// including hardening (shift + equilibration + refinement) and the
-    /// warm-start seed [`SolveOptions::initial_g`].
+    /// including hardening (shift + equilibration + refinement).
     ///
     /// # Errors
     ///
@@ -819,8 +797,7 @@ impl Qbd {
     }
 
     /// [`Qbd::g_matrix_functional_with`] returning the iteration count
-    /// alongside `G` — the sweep engine's per-point cost records use it
-    /// to price warm-started solves.
+    /// alongside `G`.
     ///
     /// # Errors
     ///
@@ -831,7 +808,6 @@ impl Qbd {
             opts.max_iterations,
             &opts.stop,
             opts.hardening,
-            opts.initial_g.as_ref(),
         )
     }
 
@@ -839,19 +815,12 @@ impl Qbd {
     /// `"functional"`); see [`Qbd::g_logred_counted`]. The shift runs
     /// the iteration `Ĝ ← (−Ã1)⁻¹(Ã2 + A0·Ĝ²)` on the deflated blocks
     /// and undoes the shift on the result.
-    ///
-    /// `initial_g` seeds the iterate with an (unshifted) `G` from a
-    /// nearby model instead of the cold default `(−Ã1)⁻¹·Ã2`; under the
-    /// spectral shift the seed is deflated (`Ĝ₀ = G₀ − ε·uᵀ`) so the
-    /// iteration still converges to the shifted fixed point. A seed of
-    /// the wrong dimension is ignored.
     pub(crate) fn g_functional_counted(
         &self,
         tolerance: f64,
         max_iterations: usize,
         stop: &Stop,
         hardening: Hardening,
-        initial_g: Option<&Matrix>,
     ) -> Result<(Matrix, usize)> {
         self.shift_gate(hardening)?;
         let m = self.phase_dim();
@@ -886,17 +855,7 @@ impl Qbd {
                 ws.lu.solve_mat_into(down_block, &mut ws.k1)?;
                 ws.lu.solve_mat_into(self.a0.dense(), &mut ws.k2)?;
             }
-            match initial_g {
-                Some(seed) if seed.nrows() == m && seed.ncols() == m => {
-                    ws.x1.copy_from(seed);
-                    if hardening.shift {
-                        // The iteration converges to Ĝ = G − εuᵀ; deflate
-                        // the (unshifted) seed to match.
-                        undo_shift(&mut ws.x1, -um);
-                    }
-                }
-                _ => ws.x1.copy_from(&ws.k1),
-            }
+            ws.x1.copy_from(&ws.k1);
 
             let mut last_diff = f64::NAN;
             for it in 0..max_iterations {
@@ -1100,9 +1059,7 @@ impl Qbd {
     }
 
     /// Full stationary solve: `G` by logarithmic reduction → `R` →
-    /// boundary vectors `(π₀, π₁)`. [`SolveOptions::initial_g`] is not
-    /// read; a warm start goes through [`Qbd::g_matrix_functional_with`]
-    /// and [`Qbd::solve_from_g`].
+    /// boundary vectors `(π₀, π₁)` and the geometric sums.
     ///
     /// # Errors
     ///
@@ -1136,8 +1093,8 @@ impl Qbd {
     }
 
     /// Assembles the full stationary solution from an already-computed
-    /// `G` (e.g. a warm-started sweep point): `R = A0·(−(A1+A0·G))⁻¹`
-    /// and the boundary system, with `hardening` applied to both solves.
+    /// `G`: `R = A0·(−(A1+A0·G))⁻¹` and the boundary system, with
+    /// `hardening` applied to both solves.
     ///
     /// The caller is responsible for `g` actually solving
     /// `A2 + A1·G + A0·G² = 0` to an acceptable [`Qbd::g_residual`];
@@ -1148,12 +1105,11 @@ impl Qbd {
     /// [`QbdError::Linalg`] on singular intermediate systems.
     pub fn solve_from_g(&self, g: Matrix, hardening: Hardening) -> Result<QbdSolution> {
         let r = self.r_from_g_with_cond(&g, hardening, None)?;
-        self.boundary_from_gr(g, r, hardening, None)
+        self.boundary_from_r(r, hardening, None)
     }
 
     /// True residual `‖A2 + A1·G + A0·G²‖∞` of a candidate `G` — the
-    /// acceptance metric used by the supervisor and by warm-started
-    /// sweeps.
+    /// acceptance metric used by the supervisor.
     pub fn g_residual(&self, g: &Matrix) -> f64 {
         // A0·G² on the structured kernel — bitwise identical to the
         // dense product it replaces, so the acceptance metric is
@@ -1165,7 +1121,7 @@ impl Qbd {
     }
 
     /// Assembles the boundary vectors `(π₀, π₁)` and the full solution
-    /// from already-computed `G` and `R`, writing the 1-norm condition
+    /// from an already-computed `R`, writing the 1-norm condition
     /// estimate of the boundary linear system into `cond` when one is
     /// asked for.
     ///
@@ -1174,9 +1130,8 @@ impl Qbd {
     /// ill-conditioned solve in the pipeline; `hardening` applies
     /// equilibration and iterative refinement to it (the shift flag has
     /// no meaning here and is ignored).
-    pub(crate) fn boundary_from_gr(
+    pub(crate) fn boundary_from_r(
         &self,
-        g: Matrix,
         r: Matrix,
         hardening: Hardening,
         cond: Option<&mut f64>,
@@ -1192,18 +1147,24 @@ impl Qbd {
         // The m-sized pieces reuse the thread workspace; only the 2m
         // boundary system itself is assembled fresh (it runs once per
         // solve, not per iteration).
-        let (geo_eps, a1_ra2) = workspace::with(m, |ws| {
-            // t1 ← I − R, factored; geo_eps = (I−R)⁻¹·ε.
+        let (sums, a1_ra2) = workspace::with(m, |ws| {
+            // t1 ← I − R, factored once for the three geometric sums
+            // sⱼ = (I−R)⁻ʲ·ε; s₁ also normalizes the boundary system.
             ws.t1.copy_from(&r);
             ws.t1.scale_mut(-1.0);
             ws.t1.add_scaled_identity(1.0);
             ws.lu.factor(&ws.t1)?;
-            let mut geo_eps = Vector::zeros(m);
-            ws.lu.solve_vec_into(&Vector::ones(m), &mut geo_eps)?;
+            let solve = |b: &Vector| {
+                let mut x = Vector::zeros(m);
+                ws.lu.solve_vec_into(b, &mut x).map(|()| x)
+            };
+            let s1 = solve(&Vector::ones(m))?;
+            let s2 = solve(&s1)?;
+            let s3 = solve(&s2)?;
             // a1_ra2 = A1 + R·A2.
             let mut a1_ra2 = self.a1.clone();
             gemm_right(1.0, &r, &self.a2, 1.0, &mut a1_ra2);
-            Ok::<_, QbdError>((geo_eps, a1_ra2))
+            Ok::<_, QbdError>(([s1, s2, s3], a1_ra2))
         })?;
 
         let dim = 2 * m;
@@ -1219,7 +1180,7 @@ impl Qbd {
         // Replace the last column with the normalization coefficients.
         for i in 0..m {
             sys[(i, dim - 1)] = 1.0;
-            sys[(m + i, dim - 1)] = geo_eps[i];
+            sys[(m + i, dim - 1)] = sums[0][i];
         }
         // The 2m system runs once per solve, outside the workspace arena
         // (which is keyed to m); a dedicated factorization is fine here.
@@ -1244,7 +1205,7 @@ impl Qbd {
             pi0[i] = x[(0, i)].max(0.0);
             pi1[i] = x[(0, m + i)].max(0.0);
         }
-        QbdSolution::assemble(pi0, pi1, r, g)
+        QbdSolution::from_parts(pi0, pi1, r, sums)
     }
 }
 
@@ -1489,7 +1450,7 @@ mod tests {
         let past = &Stop::default().child(std::time::Duration::ZERO);
         for result in [
             qbd.g_neuts_counted(1e-12, 100, past, Hardening::default()),
-            qbd.g_functional_counted(1e-12, 100, past, Hardening::default(), None),
+            qbd.g_functional_counted(1e-12, 100, past, Hardening::default()),
             qbd.g_logred_counted(1e-12, 100, past, Hardening::default()),
         ] {
             assert!(matches!(result, Err(QbdError::DeadlineExceeded { .. })));
@@ -1504,7 +1465,7 @@ mod tests {
         let t = &token;
         for result in [
             qbd.g_neuts_counted(1e-12, 100, t, Hardening::default()),
-            qbd.g_functional_counted(1e-12, 100, t, Hardening::default(), None),
+            qbd.g_functional_counted(1e-12, 100, t, Hardening::default()),
             qbd.g_logred_counted(1e-12, 100, t, Hardening::default()),
         ] {
             assert!(matches!(result, Err(QbdError::Cancelled { .. })));

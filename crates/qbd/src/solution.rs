@@ -1,11 +1,14 @@
 use performa_linalg::{lu::Lu, spectral, Matrix, Vector};
 
-use crate::Result;
+use crate::{QbdError, Result};
 
 /// The stationary solution of a positive-recurrent QBD.
 ///
-/// Holds the boundary vectors `π₀`, `π₁` and the rate matrix `R`, from
-/// which every level obeys `π_n = π₁·Rⁿ⁻¹` (`n ≥ 1`). All the paper's
+/// Holds exactly what the metrics read: the boundary vectors `π₀`,
+/// `π₁`, the rate matrix `R`, from which every level obeys
+/// `π_n = π₁·Rⁿ⁻¹` (`n ≥ 1`), and the geometric sums
+/// `sⱼ = (I − R)⁻ʲ·ε` for `j = 1, 2, 3`, which the boundary solve
+/// takes from its own factorization of `I − R`. All the paper's
 /// queue-length metrics are derived from this object. Probability-mass
 /// sums and inner products (pmf, tails, moments, quantiles) use
 /// Neumaier-compensated accumulation — near the blow-up points these
@@ -16,51 +19,31 @@ pub struct QbdSolution {
     pi0: Vector,
     pi1: Vector,
     r: Matrix,
-    g: Matrix,
-    /// Cached `(I − R)⁻¹ · ε`.
-    geo_eps: Vector,
-    /// Cached `(I − R)⁻² · ε`.
-    geo2_eps: Vector,
-    /// Cached `(I − R)⁻³ · ε`.
-    geo3_eps: Vector,
+    /// `[s₁, s₂, s₃]`, `sⱼ = (I − R)⁻ʲ·ε`.
+    sums: [Vector; 3],
 }
 
 impl QbdSolution {
-    /// Assembles a solution from its parts, caching the geometric sums.
-    pub(crate) fn assemble(pi0: Vector, pi1: Vector, r: Matrix, g: Matrix) -> Result<Self> {
-        let m = r.nrows();
-        let i_minus_r = Matrix::identity(m) - &r;
-        let lu = Lu::factor(&i_minus_r)?;
-        let geo_eps = lu.solve_vec(&Vector::ones(m))?;
-        let geo2_eps = lu.solve_vec(&geo_eps)?;
-        let geo3_eps = lu.solve_vec(&geo2_eps)?;
-        Ok(QbdSolution {
-            pi0,
-            pi1,
-            r,
-            g,
-            geo_eps,
-            geo2_eps,
-            geo3_eps,
-        })
-    }
-
-    /// Reassembles a solution from previously extracted parts —
-    /// exactly the inverse of reading [`Self::pi0`], [`Self::pi1`],
-    /// [`Self::r_matrix`] and [`Self::g_matrix`] back out.
+    /// Reassembles a solution from its parts — exactly the inverse of
+    /// reading [`Self::pi0`], [`Self::pi1`], [`Self::r_matrix`] and
+    /// [`Self::geometric_sums`] back out.
     ///
-    /// The geometric-sum caches are recomputed by the same
-    /// deterministic LU path the original solve used, so a solution
-    /// rebuilt from bit-exact parts yields bit-identical metrics. This
-    /// is what lets the durable result store replay persisted points
-    /// byte-for-byte.
+    /// Nothing is recomputed, so a solution rebuilt from bit-exact parts
+    /// yields bit-identical metrics. This is what lets the durable
+    /// result store replay persisted points byte-for-byte.
     ///
     /// # Errors
     ///
-    /// Propagates the `I − R` factorization failure when the parts do
-    /// not describe a positive-recurrent chain.
-    pub fn from_parts(pi0: Vector, pi1: Vector, r: Matrix, g: Matrix) -> Result<Self> {
-        Self::assemble(pi0, pi1, r, g)
+    /// [`QbdError::InvalidParameter`] when the parts disagree on the
+    /// phase dimension.
+    pub fn from_parts(pi0: Vector, pi1: Vector, r: Matrix, sums: [Vector; 3]) -> Result<Self> {
+        let m = pi0.len();
+        if pi1.len() != m || r.shape() != (m, m) || sums.iter().any(|s| s.len() != m) {
+            return Err(QbdError::InvalidParameter {
+                message: format!("solution parts disagree with π₀'s phase dimension {m}"),
+            });
+        }
+        Ok(QbdSolution { pi0, pi1, r, sums })
     }
 
     /// Phase dimension `m`.
@@ -73,9 +56,10 @@ impl QbdSolution {
         &self.r
     }
 
-    /// The first-passage matrix `G`.
-    pub fn g_matrix(&self) -> &Matrix {
-        &self.g
+    /// The geometric sums `[s₁, s₂, s₃]`, `sⱼ = (I − R)⁻ʲ·ε`: `s₁`
+    /// weighs the tails, `s₂` the mean and `s₃` the second moment.
+    pub fn geometric_sums(&self) -> &[Vector; 3] {
+        &self.sums
     }
 
     /// Boundary vector `π₀` (empty queue, by phase).
@@ -111,7 +95,7 @@ impl QbdSolution {
     /// arriving task finds more than `k` tasks in the system.
     pub fn tail_probability(&self, k: usize) -> f64 {
         let rk = spectral::matrix_power(&self.r, k);
-        rk.vec_mul(&self.pi1).dot_compensated(&self.geo_eps)
+        rk.vec_mul(&self.pi1).dot_compensated(&self.sums[0])
     }
 
     /// Probability that the queue length is at least `k`, `Pr(Q ≥ k)`.
@@ -126,14 +110,15 @@ impl QbdSolution {
     /// Mean queue length `E[Q] = π₁·(I−R)⁻²·ε` (tasks in system,
     /// including those in service — the paper's convention).
     pub fn mean_queue_length(&self) -> f64 {
-        self.pi1.dot_compensated(&self.geo2_eps)
+        self.pi1.dot_compensated(&self.sums[1])
     }
 
     /// Second raw moment `E[Q²] = π₁·(I+R)·(I−R)⁻³·ε`
     /// (from `Σ n²·xⁿ⁻¹ = (1+x)/(1−x)³`).
     pub fn second_moment_queue_length(&self) -> f64 {
-        let w = self.r.mul_vec(&self.geo3_eps);
-        self.pi1.dot_compensated(&self.geo3_eps) + self.pi1.dot_compensated(&w)
+        let s3 = &self.sums[2];
+        let w = self.r.mul_vec(s3);
+        self.pi1.dot_compensated(s3) + self.pi1.dot_compensated(&w)
     }
 
     /// Variance of the queue length.
@@ -215,7 +200,7 @@ impl QbdSolution {
         let mut out = Vec::with_capacity(len);
         let mut v = self.pi1.clone();
         for _ in 0..len {
-            out.push(v.dot_compensated(&self.geo_eps));
+            out.push(v.dot_compensated(&self.sums[0]));
             v = self.r.vec_mul(&v);
         }
         out
@@ -344,7 +329,7 @@ mod tests {
             sol.pi0().clone(),
             sol.pi1().clone(),
             sol.r_matrix().clone(),
-            sol.g_matrix().clone(),
+            sol.geometric_sums().clone(),
         )
         .unwrap();
         assert_eq!(

@@ -551,7 +551,7 @@ impl SolverSupervisor {
         }
         let solution = self
             .qbd
-            .boundary_from_gr(g, r, hardening, Some(&mut cond_b))?;
+            .boundary_from_r(r, hardening, Some(&mut cond_b))?;
         if cond_b > self.options.condition_threshold {
             warn(
                 &mut warnings,
@@ -904,7 +904,7 @@ mod tests {
                 Vector::from(vec![0.5]),
                 Vector::from(vec![pi1]),
                 Matrix::from_rows(&[&[0.5]]),
-                Matrix::from_rows(&[&[1.0]]),
+                [2.0, 4.0, 8.0].map(|s| Vector::from(vec![s])),
             )
             .unwrap()
         };

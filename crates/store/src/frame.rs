@@ -20,7 +20,7 @@ pub const MAGIC: [u8; 8] = *b"PERFSTR\x01";
 pub const FRAME_HEADER_LEN: usize = 8;
 
 /// Sanity cap on a single frame's payload (64 MiB). A solved point at
-/// the largest paper-scale phase dimension (m = 561) is ~5 MiB, so real
+/// the largest paper-scale phase dimension (m = 561) is ~2.4 MiB, so real
 /// frames sit far below this; a length beyond the cap is treated as
 /// corruption, not as an allocation request.
 pub const MAX_FRAME_LEN: usize = 64 << 20;

@@ -1,20 +1,28 @@
 //! Hand-serialized sweep-point records — no serde, no bincode.
 //!
 //! A record maps a [`PointKey`] — `(model fingerprint, axis point,
-//! solver version)` — to a [`PointRecord`]: either the raw stationary
-//! solution of the point (boundary vectors and the `R`/`G` matrices,
-//! stored as exact `f64` bit patterns so replay is byte-identical) or a
-//! typed failure.
+//! solver version)` — to a [`PointRecord`]: either what every metric of
+//! the point's stationary solution reads (boundary vectors, the `R`
+//! matrix and the geometric sums `sⱼ = (I − R)⁻ʲ·ε`, stored as exact
+//! `f64` bit patterns so replay is byte-identical) or a typed failure.
 //!
 //! Encoding is little-endian throughout:
 //!
 //! ```text
 //! payload := tag:u8  key  body
 //! key     := str(fingerprint)  solver_version:u32  x_bits:u64
-//! body    := m:u32  f64[m] pi0  f64[m] pi1  f64[m*m] r  f64[m*m] g   (tag 1, solved)
-//!          | str(kind)  str(message)                                 (tag 2, failed)
+//! body    := m:u32  f64[m] pi0  f64[m] pi1  f64[m*m] r  f64[m] s1  f64[m] s2  f64[m] s3
+//!                                                                      (tag 3, solved)
+//!          | str(kind)  str(message)                                  (tag 2, failed)
+//!          | m:u32  f64[m] pi0  f64[m] pi1  f64[m*m] r  f64[m*m] g    (tag 1, stale)
 //! str     := len:u32  utf8[len]
 //! ```
+//!
+//! Tag 1 is the solved layout of earlier builds, which stored `G` and
+//! no sums. It still decodes, so such a log opens, verifies and
+//! recovers its torn tail, but its records are stale: they are never
+//! replayed, and the point re-solves once into a tag-3 record that
+//! shadows the old frame.
 
 use std::fmt;
 
@@ -49,8 +57,12 @@ pub enum PointRecord {
         pi1: Vec<f64>,
         /// Rate matrix `R`, row-major (`m·m` entries).
         r: Vec<f64>,
-        /// First-passage matrix `G`, row-major (`m·m` entries).
-        g: Vec<f64>,
+        /// `s₁ = (I − R)⁻¹·ε` (`m` entries).
+        s1: Vec<f64>,
+        /// `s₂ = (I − R)⁻²·ε` (`m` entries).
+        s2: Vec<f64>,
+        /// `s₃ = (I − R)⁻³·ε` (`m` entries).
+        s3: Vec<f64>,
     },
     /// The point failed after the sweep pool's retry ladder; replayed
     /// as a typed error unless the caller asks for re-attempts.
@@ -78,8 +90,9 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-const TAG_SOLVED: u8 = 1;
+const TAG_STALE_SOLVED: u8 = 1;
 const TAG_FAILED: u8 = 2;
+const TAG_SOLVED: u8 = 3;
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -147,16 +160,23 @@ impl<'a> Reader<'a> {
 pub fn encode_record(key: &PointKey, record: &PointRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     match record {
-        PointRecord::Solved { m, pi0, pi1, r, g } => {
+        PointRecord::Solved {
+            m,
+            pi0,
+            pi1,
+            r,
+            s1,
+            s2,
+            s3,
+        } => {
             out.push(TAG_SOLVED);
             put_str(&mut out, &key.fingerprint);
             out.extend_from_slice(&key.solver_version.to_le_bytes());
             out.extend_from_slice(&key.x_bits.to_le_bytes());
             out.extend_from_slice(&m.to_le_bytes());
-            put_f64s(&mut out, pi0);
-            put_f64s(&mut out, pi1);
-            put_f64s(&mut out, r);
-            put_f64s(&mut out, g);
+            for xs in [pi0, pi1, r, s1, s2, s3] {
+                put_f64s(&mut out, xs);
+            }
         }
         PointRecord::Failed { kind, message } => {
             out.push(TAG_FAILED);
@@ -170,13 +190,15 @@ pub fn encode_record(key: &PointKey, record: &PointRecord) -> Vec<u8> {
     out
 }
 
-/// Decodes a frame payload back into its `(key, record)` pair.
+/// Decodes a frame payload back into its key and record. The record is
+/// `None` for a well-formed stale tag-1 frame (see the module docs),
+/// which callers count and never replay.
 ///
 /// # Errors
 ///
 /// [`DecodeError`] when the payload is truncated, carries an unknown
 /// tag, declares inconsistent dimensions, or has trailing bytes.
-pub fn decode_record(payload: &[u8]) -> Result<(PointKey, PointRecord), DecodeError> {
+pub fn decode_record(payload: &[u8]) -> Result<(PointKey, Option<PointRecord>), DecodeError> {
     let mut r = Reader { bytes: payload, pos: 0 };
     let tag = r.u8("tag")?;
     let fingerprint = r.string("fingerprint")?;
@@ -191,22 +213,30 @@ pub fn decode_record(payload: &[u8]) -> Result<(PointKey, PointRecord), DecodeEr
         TAG_SOLVED => {
             let m = r.u32("phase_dim")?;
             let n = m as usize;
-            let pi0 = r.f64s(n, "pi0")?;
-            let pi1 = r.f64s(n, "pi1")?;
-            let rmat = r.f64s(n * n, "r_matrix")?;
-            let g = r.f64s(n * n, "g_matrix")?;
-            PointRecord::Solved {
+            Some(PointRecord::Solved {
                 m,
-                pi0,
-                pi1,
-                r: rmat,
-                g,
-            }
+                pi0: r.f64s(n, "pi0")?,
+                pi1: r.f64s(n, "pi1")?,
+                r: r.f64s(n * n, "r_matrix")?,
+                s1: r.f64s(n, "s1")?,
+                s2: r.f64s(n, "s2")?,
+                s3: r.f64s(n, "s3")?,
+            })
+        }
+        TAG_STALE_SOLVED => {
+            // π₀, π₁, R and G: checked for length, never decoded.
+            let n = r.u32("phase_dim")? as usize;
+            let context = "stale solution";
+            r.take(
+                (n + n * n).checked_mul(16).ok_or(DecodeError { context })?,
+                context,
+            )?;
+            None
         }
         TAG_FAILED => {
             let kind = r.string("failure_kind")?;
             let message = r.string("failure_message")?;
-            PointRecord::Failed { kind, message }
+            Some(PointRecord::Failed { kind, message })
         }
         _ => return Err(DecodeError { context: "tag" }),
     };
@@ -234,12 +264,49 @@ mod tests {
             pi0: vec![0.25, f64::MIN_POSITIVE],
             pi1: vec![1.0 / 3.0, 1e-300],
             r: vec![0.1, 0.2, 0.3, 0.4],
-            g: vec![0.9, 0.1, 0.5, 0.5],
+            s1: vec![1.5, 2.5],
+            s2: vec![-0.0, 7.0],
+            s3: vec![1e300, 9.0],
         };
         let payload = encode_record(&key, &rec);
+        // m² + 5m floats after the tag, the key and m.
+        assert_eq!(
+            payload.len(),
+            1 + 4 + key.fingerprint.len() + 4 + 8 + 4 + 8 * (4 + 5 * 2)
+        );
         let (k2, r2) = decode_record(&payload).unwrap();
         assert_eq!(k2, key);
-        assert_eq!(r2, rec);
+        assert_eq!(r2, Some(rec));
+    }
+
+    /// A tag-1 payload in the layout of earlier builds: π₀, π₁, R, G.
+    fn stale_payload(key: &PointKey, m: u32) -> Vec<u8> {
+        let mut out = vec![TAG_STALE_SOLVED];
+        put_str(&mut out, &key.fingerprint);
+        out.extend_from_slice(&key.solver_version.to_le_bytes());
+        out.extend_from_slice(&key.x_bits.to_le_bytes());
+        out.extend_from_slice(&m.to_le_bytes());
+        let n = m as usize;
+        put_f64s(&mut out, &vec![0.5; 2 * n + 2 * n * n]);
+        out
+    }
+
+    #[test]
+    fn stale_solved_layout_decodes_to_its_key_only() {
+        let key = solved_key();
+        let payload = stale_payload(&key, 3);
+        assert_eq!(decode_record(&payload).unwrap(), (key.clone(), None));
+        for cut in 0..payload.len() {
+            assert!(decode_record(&payload[..cut]).is_err(), "cut {cut}");
+        }
+        let mut long = payload.clone();
+        long.push(0);
+        assert!(decode_record(&long).is_err());
+        // A phase dimension whose byte count overflows is malformed.
+        let mut huge = stale_payload(&key, 0);
+        let at = huge.len() - 4;
+        huge[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_record(&huge).is_err());
     }
 
     #[test]
@@ -250,7 +317,7 @@ mod tests {
             message: "NaN at iteration 7 of logred".to_string(),
         };
         let payload = encode_record(&key, &rec);
-        assert_eq!(decode_record(&payload).unwrap(), (key, rec));
+        assert_eq!(decode_record(&payload).unwrap(), (key, Some(rec)));
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!
 //! Within one log, a later record for a key overwrites an earlier one
 //! in the index (last-wins), so a successful re-attempt appended after
-//! a persisted failure simply shadows it.
+//! a persisted failure simply shadows it. A stale frame (a solved
+//! record in the tag-1 layout of earlier builds, see [`crate::record`])
+//! is counted and leaves its key unindexed, so the point re-solves and
+//! its fresh record shadows the frame.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -97,6 +100,8 @@ pub struct OpenStats {
     pub frames: usize,
     /// Distinct keys in the rebuilt index.
     pub records: usize,
+    /// Stale frames scanned (never indexed or replayed).
+    pub stale: usize,
     /// Whether a damaged tail was truncated during recovery.
     pub recovered_truncation: bool,
     /// Bytes removed by tail truncation.
@@ -110,6 +115,8 @@ pub struct VerifyStats {
     pub frames: usize,
     /// Distinct keys across those frames.
     pub records: usize,
+    /// Stale frames among them (see [`OpenStats::stale`]).
+    pub stale: usize,
     /// Trailing bytes that belong to an incomplete final frame (zero
     /// for a cleanly closed log).
     pub torn_tail_bytes: u64,
@@ -201,7 +208,15 @@ impl Store {
                                 // is a format error, not torn-write damage.
                                 detail: format!("checksum-valid frame failed to decode: {e}"),
                             })?;
-                        index.insert(key, record);
+                        match record {
+                            Some(record) => {
+                                index.insert(key, record);
+                            }
+                            None => {
+                                index.remove(&key);
+                                stats.stale += 1;
+                            }
+                        }
                         stats.frames += 1;
                         offset = next;
                     }
@@ -264,6 +279,7 @@ impl Store {
             vec![
                 ("frames", stats.frames.into()),
                 ("records", stats.records.into()),
+                ("stale", stats.stale.into()),
                 ("recovered_truncation", stats.recovered_truncation.into()),
             ],
         );
@@ -509,11 +525,12 @@ pub fn verify(path: &Path) -> Result<VerifyStats, StoreError> {
     loop {
         match parse_frame(&bytes, offset) {
             FrameParse::Ok { payload, next } => {
-                let (key, _) = decode_record(payload).map_err(|e| StoreError::Corrupt {
+                let (key, record) = decode_record(payload).map_err(|e| StoreError::Corrupt {
                     path: path.to_path_buf(),
                     offset: offset as u64,
                     detail: format!("frame failed to decode: {e}"),
                 })?;
+                stats.stale += usize::from(record.is_none());
                 keys.insert(key);
                 stats.frames += 1;
                 offset = next;

@@ -46,7 +46,9 @@ fn rec(i: u64) -> PointRecord {
         pi0: vec![i as f64],
         pi1: vec![1.0 / (i + 1) as f64],
         r: vec![0.5],
-        g: vec![1.0],
+        s1: vec![2.0],
+        s2: vec![4.0],
+        s3: vec![8.0],
     }
 }
 

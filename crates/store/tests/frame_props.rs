@@ -26,7 +26,7 @@ proptest! {
         version in 1u32..100,
         x in 0.0f64..1.0,
         m in 1usize..6,
-        bits in prop::collection::vec(0u64..u64::MAX, 80),
+        bits in prop::collection::vec(0u64..u64::MAX, 55),
     ) {
         // Interpret raw u64 draws as f64 bit patterns, sanitised away
         // from NaN (NaN != NaN would break the equality assert while
@@ -44,7 +44,9 @@ proptest! {
             pi0: take(0, m),
             pi1: take(m, m),
             r: take(2 * m, m * m),
-            g: take(2 * m + m * m, m * m),
+            s1: take(2 * m + m * m, m),
+            s2: take(3 * m + m * m, m),
+            s3: take(4 * m + m * m, m),
         };
         let payload = encode_record(&key, &rec);
         let (k2, r2) = decode_record(&payload).unwrap();
@@ -52,11 +54,11 @@ proptest! {
         // Compare by bits so -0.0 / subnormals are checked exactly.
         match (&rec, &r2) {
             (
-                PointRecord::Solved { m: m1, pi0: a0, pi1: a1, r: ar, g: ag },
-                PointRecord::Solved { m: m2, pi0: b0, pi1: b1, r: br, g: bg },
+                PointRecord::Solved { m: m1, pi0: a0, pi1: a1, r: ar, s1: a3, s2: a4, s3: a5 },
+                Some(PointRecord::Solved { m: m2, pi0: b0, pi1: b1, r: br, s1: b3, s2: b4, s3: b5 }),
             ) => {
                 prop_assert_eq!(m1, m2);
-                for (xs, ys) in [(a0, b0), (a1, b1), (ar, br), (ag, bg)] {
+                for (xs, ys) in [(a0, b0), (a1, b1), (ar, br), (a3, b3), (a4, b4), (a5, b5)] {
                     prop_assert_eq!(xs.len(), ys.len());
                     for (x, y) in xs.iter().zip(ys) {
                         prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -90,7 +92,7 @@ proptest! {
             message: "é".repeat(msg_len), // multi-byte UTF-8 on purpose
         };
         let payload = encode_record(&key, &rec);
-        prop_assert_eq!(decode_record(&payload).unwrap(), (key, rec));
+        prop_assert_eq!(decode_record(&payload).unwrap(), (key, Some(rec)));
     }
 
     #[test]

@@ -44,7 +44,9 @@ fn solved(i: u64) -> PointRecord {
         pi0: vec![0.5 + i as f64, 0.25],
         pi1: vec![0.125, 0.0625],
         r: vec![0.1, 0.2, 0.3, 0.4],
-        g: vec![1.0, 0.0, 0.5, 0.5],
+        s1: vec![1.5, 2.0],
+        s2: vec![2.5, 3.0],
+        s3: vec![3.5, 4.0],
     }
 }
 
