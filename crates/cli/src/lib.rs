@@ -535,6 +535,22 @@ pub fn run<W: std::io::Write>(command: &str, args: &Args, out: &mut W) -> Result
                 // count. `0` means all cores.
                 performa_linalg::threading::set_threads(args.get("threads", 0usize)?);
             }
+            // The metric options are read before the solve, so a bad
+            // value is a usage error that prints nothing.
+            let tail = if args.has("tail") {
+                Some(args.get("tail", 500usize)?)
+            } else {
+                None
+            };
+            let delay_bound = if args.has("delay-bound") {
+                let d = args.get("delay-bound", 1.0_f64)?;
+                if d.is_nan() {
+                    return Err(CliError::usage("--delay-bound must be a number, not NaN"));
+                }
+                Some(d)
+            } else {
+                None
+            };
             let m = build_model(args)?;
             let (sol, report) = m.solve_supervised(supervisor_options(args)?)?;
             writeln!(out, "servers          : {}", m.servers()).map_err(io)?;
@@ -557,13 +573,11 @@ pub fn run<W: std::io::Write>(command: &str, args: &Args, out: &mut W) -> Result
             }) {
                 writeln!(out, "service IDC(inf) : {:.3}", idc).map_err(io)?;
             }
-            if args.has("tail") {
-                let k = args.get("tail", 500usize)?;
+            if let Some(k) = tail {
                 writeln!(out, "Pr(Q >= {k})     : {:.6e}", sol.at_least_probability(k))
                     .map_err(io)?;
             }
-            if args.has("delay-bound") {
-                let d = args.get("delay-bound", 1.0)?;
+            if let Some(d) = delay_bound {
                 writeln!(
                     out,
                     "Pr(S > {d})      : {:.6e}",

@@ -288,6 +288,29 @@ fn unknown_options_are_usage_errors() {
 }
 
 #[test]
+fn bad_metric_options_are_usage_errors_that_solve_nothing() {
+    for (option, value) in [
+        ("--delay-bound", "NaN"),
+        ("--tail", "abc"),
+        ("--tail", "-5"),
+    ] {
+        let (code, out, err) = performa_code(&["solve", "--rho", "0.5", option, value]);
+        assert_eq!(code, Some(2), "{option} {value}: {err}");
+        assert!(out.is_empty(), "{option} {value} printed {out:?}");
+        assert!(err.contains(option), "{option} {value}: {err}");
+    }
+    // An infinite bound is never violated and a negative one always is.
+    for (bound, line) in [
+        ("inf", "Pr(S > inf)      : 0.000000e0"),
+        ("-1", "Pr(S > -1)      : 1.000000e0"),
+    ] {
+        let (code, out, err) = performa_code(&["solve", "--rho", "0.5", "--delay-bound", bound]);
+        assert_eq!(code, Some(0), "{bound}: {err}");
+        assert!(out.contains(line), "{bound}: {out}");
+    }
+}
+
+#[test]
 fn store_command_requires_a_verb() {
     let (ok, _, err) = performa(&["store"]);
     assert!(!ok);

@@ -66,8 +66,12 @@ impl ClusterSolution {
     }
 
     /// Approximate probability that a task's system time exceeds `d`,
-    /// using the paper's mapping `Pr(S > d) ≈ Pr(Q > d·ν̄)`.
+    /// using the paper's mapping `Pr(S > d) ≈ Pr(Q > d·ν̄)`. A NaN bound
+    /// gives NaN.
     pub fn delay_violation_probability(&self, d: f64) -> f64 {
+        if d.is_nan() {
+            return f64::NAN;
+        }
         if d <= 0.0 {
             return 1.0;
         }
@@ -76,7 +80,8 @@ impl ClusterSolution {
     }
 
     /// Approximate probability that a task meets the delay bound `d`
-    /// (success probability of a task with a QoS deadline).
+    /// (success probability of a task with a QoS deadline); NaN for a
+    /// NaN bound.
     pub fn delay_success_probability(&self, d: f64) -> f64 {
         1.0 - self.delay_violation_probability(d)
     }
@@ -146,6 +151,21 @@ mod tests {
         assert!((sol.delay_success_probability(d) + p - 1.0).abs() < 1e-15);
         // Longer deadlines are easier to meet.
         assert!(sol.delay_violation_probability(4.0) < p);
+    }
+
+    #[test]
+    fn delay_metrics_at_the_edges_of_the_bound() {
+        let sol = tpt_model(5, 0.4);
+        // A NaN bound has no queue-length threshold: no answer, not
+        // Pr(Q > 0).
+        assert!(sol.delay_violation_probability(f64::NAN).is_nan());
+        assert!(sol.delay_success_probability(f64::NAN).is_nan());
+        // An infinite bound is never violated; its threshold saturates
+        // at usize::MAX, which the tail reaches in ⌊log₂k⌋ squarings.
+        assert_eq!(sol.delay_violation_probability(f64::INFINITY), 0.0);
+        assert_eq!(sol.delay_success_probability(f64::INFINITY), 1.0);
+        assert_eq!(sol.delay_violation_probability(-1.0), 1.0);
+        assert_eq!(sol.delay_violation_probability(f64::NEG_INFINITY), 1.0);
     }
 
     #[test]

@@ -3,6 +3,11 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAss
 
 use crate::{LinalgError, Result, Vector};
 
+/// Columns per block of [`Matrix::vec_mul_into`]: 32 partial sums fill
+/// eight 256-bit vector registers, so a block's row sweep loads only
+/// matrix entries.
+const VEC_MUL_BLOCK: usize = 32;
+
 /// A dense, row-major `f64` matrix.
 ///
 /// This is the workhorse type of the workspace. It is deliberately simple:
@@ -320,19 +325,71 @@ impl Matrix {
     ///
     /// Panics if `v.len() != nrows`.
     pub fn vec_mul(&self, v: &Vector) -> Vector {
+        let mut out = Vector::zeros(self.ncols);
+        self.vec_mul_into(v, &mut out);
+        out
+    }
+
+    /// Writes `v * self` into `out`, overwriting whatever it held.
+    ///
+    /// Every entry is the ascending-row sum `((0 + v₀a₀ⱼ) + v₁a₁ⱼ) + …`
+    /// over the rows with `vᵢ ≠ 0`, each term a multiply then an add
+    /// (never fused). The columns are swept in blocks of 32 whose
+    /// partial sums stay in registers across the rows; the blocking
+    /// changes no operation or its order, so the bits equal those of
+    /// the plain row-by-row loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != nrows` or `out.len() != ncols`.
+    pub fn vec_mul_into(&self, v: &Vector, out: &mut Vector) {
         assert_eq!(v.len(), self.nrows, "vector-matrix shape mismatch");
-        let mut out = vec![0.0; self.ncols];
-        for i in 0..self.nrows {
-            let vi = v[i];
+        assert_eq!(
+            out.len(),
+            self.ncols,
+            "vector-matrix output length mismatch"
+        );
+        if self.ncols == 0 {
+            return;
+        }
+        let (v, out) = (v.as_slice(), out.as_mut_slice());
+        let mut j0 = 0;
+        while self.ncols - j0 >= VEC_MUL_BLOCK {
+            self.vec_mul_block::<VEC_MUL_BLOCK>(v, j0, out);
+            j0 += VEC_MUL_BLOCK;
+        }
+        // The ragged end in power-of-two widths, so it stays in registers.
+        for (width, block) in [
+            (
+                16,
+                Self::vec_mul_block::<16> as fn(&Self, &[f64], usize, &mut [f64]),
+            ),
+            (8, Self::vec_mul_block::<8>),
+            (4, Self::vec_mul_block::<4>),
+            (2, Self::vec_mul_block::<2>),
+            (1, Self::vec_mul_block::<1>),
+        ] {
+            if self.ncols - j0 >= width {
+                block(self, v, j0, out);
+                j0 += width;
+            }
+        }
+    }
+
+    /// Columns `j0..j0 + W` of `v * self` into `out`, with the `W`
+    /// partial sums held in a fixed-size array across the row sweep.
+    fn vec_mul_block<const W: usize>(&self, v: &[f64], j0: usize, out: &mut [f64]) {
+        let mut acc = [0.0_f64; W];
+        for (row, &vi) in self.data.chunks_exact(self.ncols).zip(v) {
             if vi == 0.0 {
                 continue;
             }
-            let row = self.row(i);
-            for (o, a) in out.iter_mut().zip(row) {
-                *o += vi * a;
+            let a: &[f64; W] = row[j0..j0 + W].try_into().expect("slice spans one block");
+            for (s, &x) in acc.iter_mut().zip(a) {
+                *s += vi * x;
             }
         }
-        Vector::from(out)
+        out[j0..j0 + W].copy_from_slice(&acc);
     }
 
     /// Maximum absolute difference to another matrix of the same shape.
@@ -609,6 +666,80 @@ mod tests {
         let v = Vector::from(vec![1.0, 1.0]);
         assert_eq!(a.mul_vec(&v).as_slice(), &[3.0, 7.0]);
         assert_eq!(a.vec_mul(&v).as_slice(), &[4.0, 6.0]);
+    }
+
+    /// The row-by-row loop the blocked kernel replaced: the bit
+    /// reference for [`Matrix::vec_mul_into`].
+    fn vec_mul_reference(a: &Matrix, v: &Vector) -> Vector {
+        let mut out = vec![0.0; a.ncols()];
+        for i in 0..a.nrows() {
+            let vi = v[i];
+            if vi == 0.0 {
+                continue;
+            }
+            for (o, x) in out.iter_mut().zip(a.row(i)) {
+                *o += vi * x;
+            }
+        }
+        Vector::from(out)
+    }
+
+    #[test]
+    fn blocked_vec_mul_keeps_the_row_loop_bits() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.25
+        };
+        // Ragged last blocks on both sides of the 32-column block.
+        for (r, c) in [
+            (1, 1),
+            (3, 5),
+            (31, 31),
+            (32, 32),
+            (33, 33),
+            (70, 97),
+            (126, 126),
+        ] {
+            let mut a = Matrix::from_fn(r, c, |_, _| next());
+            let mut v = Vector::from((0..r).map(|_| next()).collect::<Vec<_>>());
+            for i in 0..r {
+                match i % 5 {
+                    0 => v[i] = 0.0,
+                    3 => v[i] = -0.0,
+                    _ => {}
+                }
+            }
+            // Row 0 has zero weight: its NaN and ∞ are skipped.
+            for j in 0..c {
+                a[(0, j)] = if j % 2 == 0 { f64::NAN } else { f64::INFINITY };
+            }
+            // A column of −0.0 and −0.0 entries scattered elsewhere.
+            for i in 1..r {
+                a[(i, c - 1)] = -0.0;
+                a[(i, (7 * i) % c)] = -0.0;
+            }
+            let want = vec_mul_reference(&a, &v);
+            assert!(want.as_slice().iter().all(|x| !x.is_nan()), "{r}x{c}");
+            let mut got = Vector::from(vec![f64::NAN; c]);
+            a.vec_mul_into(&v, &mut got);
+            let bits = |x: &Vector| x.as_slice().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{r}x{c}");
+            assert_eq!(bits(&a.vec_mul(&v)), bits(&want), "{r}x{c}");
+        }
+    }
+
+    #[test]
+    fn vec_mul_propagates_non_finite_entries_of_weighted_rows() {
+        let a = Matrix::from_rows(&[&[1.0, f64::INFINITY, 2.0], &[3.0, 1.0, f64::NAN]]);
+        let v = Vector::from(vec![0.5, 2.0]);
+        let mut out = Vector::from(vec![7.0; 3]);
+        a.vec_mul_into(&v, &mut out);
+        assert_eq!(out[0], 6.5);
+        assert_eq!(out[1], f64::INFINITY);
+        assert!(out[2].is_nan());
     }
 
     #[test]

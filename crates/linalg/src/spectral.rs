@@ -1,9 +1,12 @@
 //! Spectral utilities: matrix powers and spectral-radius estimation.
 //!
-//! The matrix-geometric tail `π_n = π₁ Rⁿ⁻¹` requires fast matrix powers
-//! (`Pr(Q > 500)` needs `R⁵⁰⁰`), and stability / decay-rate diagnostics use
-//! the spectral radius `sp(R)` — the geometric decay rate of the
-//! queue-length distribution outside power-law regions.
+//! The matrix-geometric tail `π_n = π₁ Rⁿ⁻¹` needs a vector times a
+//! power of `R` (`Pr(Q > 500)` needs `π₁R⁵⁰⁰`), which
+//! [`vec_mul_power`] forms by vector products without forming the
+//! power; [`matrix_power`] stays as its reference. Stability /
+//! decay-rate diagnostics use the spectral radius `sp(R)` — the
+//! geometric decay rate of the queue-length distribution outside
+//! power-law regions.
 
 use crate::gemm::gemm_into;
 use crate::{LinalgError, Matrix, Result, Vector};
@@ -46,6 +49,82 @@ pub fn matrix_power(a: &Matrix, k: usize) -> Matrix {
         std::mem::swap(&mut base, &mut spare);
     }
     result.expect("k > 0 has a set bit")
+}
+
+/// `c` of [`vec_mul_power`]'s split rule, which charges one `m×m`
+/// squaring as `⌈m/c⌉` vector–matrix products; fitted to timings of
+/// every split at `m = 55…462` (DESIGN.md §5). A constant, so the
+/// split, and with it the bits, never depend on the host.
+const SQUARING_COST_DIVISOR: usize = 2;
+
+/// Computes `v·Aᵏ` by vector–matrix products, never forming `Aᵏ`.
+///
+/// The low `j` bits of `k` run the binary method on the vector —
+/// `v ← v·A^(2ᵇ)` for each set bit `b < j`, squaring `A` as it goes —
+/// and then `⌊k/2ʲ⌋` products with `A^(2ʲ)` finish the chain. `j`
+/// depends only on `m` and `k`: it minimises `j·⌈m/2⌉ +
+/// popcount(k mod 2ʲ) + ⌊k/2ʲ⌋`, the chain's cost in vector products,
+/// over `0 ≤ j ≤ ⌊log₂k⌋`. `j = 0` is the plain recurrence `v·A·A⋯`,
+/// `j = ⌊log₂k⌋` the pure binary method; any `k`, `usize::MAX`
+/// included, costs at most `⌊log₂k⌋` squarings. Two vectors pass the
+/// iterate back and forth, so the products allocate nothing.
+///
+/// # Panics
+///
+/// Panics if `a` is not square or `v.len() != a.nrows()`.
+pub fn vec_mul_power(v: &Vector, a: &Matrix, k: usize) -> Vector {
+    assert!(a.is_square(), "vec_mul_power: operand must be square");
+    assert_eq!(
+        v.len(),
+        a.nrows(),
+        "vec_mul_power: vector-matrix shape mismatch"
+    );
+    let n = a.nrows();
+    let mut x = v.clone();
+    let mut y = Vector::zeros(n);
+    let step = |x: &mut Vector, y: &mut Vector, a: &Matrix| {
+        a.vec_mul_into(x, y);
+        std::mem::swap(x, y);
+    };
+    let j = power_split(n, k);
+    if j == 0 {
+        for _ in 0..k {
+            step(&mut x, &mut y, a);
+        }
+        return x;
+    }
+    let mut base = a.clone();
+    let mut spare = Matrix::zeros(n, n);
+    for b in 0..j {
+        if (k >> b) & 1 == 1 {
+            step(&mut x, &mut y, &base);
+        }
+        gemm_into(1.0, &base, &base, 0.0, &mut spare);
+        std::mem::swap(&mut base, &mut spare);
+    }
+    for _ in 0..k >> j {
+        step(&mut x, &mut y, &base);
+    }
+    x
+}
+
+/// The split `j` of [`vec_mul_power`] for an `n×n` matrix and power
+/// `k`: the largest minimiser of `j·⌈n/c⌉ + popcount(k mod 2ʲ) +
+/// ⌊k/2ʲ⌋` over `0 ≤ j ≤ ⌊log₂k⌋` (`0` for `k = 0`). A tie goes to
+/// the shorter chain of vector products.
+fn power_split(n: usize, k: usize) -> u32 {
+    let Some(top) = k.checked_ilog2() else {
+        return 0;
+    };
+    let square = n.div_ceil(SQUARING_COST_DIVISOR);
+    let cost = |j: u32| {
+        let low = k & ((1usize << j) - 1);
+        j as usize * square + low.count_ones() as usize + (k >> j)
+    };
+    (0..=top)
+        .rev()
+        .min_by_key(|&j| cost(j))
+        .expect("the range holds j = 0")
 }
 
 /// Options for [`spectral_radius`].
@@ -164,6 +243,70 @@ mod tests {
         let d5 = matrix_power(&d, 5);
         assert_eq!(d5[(0, 0)], 32.0);
         assert_eq!(d5[(1, 1)], 243.0);
+    }
+
+    /// `v·Aᵏ` by the reference route: `Aᵏ` by binary powering, then
+    /// one vector product.
+    fn reference(v: &Vector, a: &Matrix, k: usize) -> Vector {
+        matrix_power(a, k).vec_mul(v)
+    }
+
+    fn assert_close(got: &Vector, want: &Vector, what: &str) {
+        for (&g, &w) in got.as_slice().iter().zip(want.as_slice()) {
+            let err = if w == 0.0 {
+                g.abs()
+            } else {
+                ((g - w) / w).abs()
+            };
+            assert!(err <= 1e-12, "{what}: {g:e} vs {w:e}");
+        }
+    }
+
+    #[test]
+    fn vector_power_matches_matrix_power() {
+        let a = Matrix::from_fn(7, 7, |i, j| (1 + (3 * i + 5 * j) % 11) as f64 / 60.0);
+        let v = Vector::from((0..7).map(|i| 1.0 / (i + 2) as f64).collect::<Vec<_>>());
+        for k in [0, 1, 2, 3, 9, 64, 99, 499, 5000] {
+            assert_close(
+                &vec_mul_power(&v, &a, k),
+                &reference(&v, &a, k),
+                &format!("k={k}"),
+            );
+        }
+    }
+
+    #[test]
+    fn split_spans_recurrence_to_binary() {
+        // m = 66, k = 9: one squaring costs 33 products, so the chain
+        // is the plain recurrence.
+        assert_eq!(power_split(66, 9), 0);
+        // m = 2: a squaring costs one product, so the split is the
+        // pure binary method.
+        assert_eq!(power_split(2, 499), 499_usize.ilog2());
+        assert_eq!(power_split(2, 0), 0);
+        for (m, k) in [(66, 9), (2, 499)] {
+            let a = Matrix::from_fn(m, m, |i, j| (1 + (i + 2 * j) % 5) as f64 / (4.0 * m as f64));
+            let v = Vector::from((0..m).map(|i| (i + 1) as f64).collect::<Vec<_>>());
+            assert_close(
+                &vec_mul_power(&v, &a, k),
+                &reference(&v, &a, k),
+                &format!("m={m}"),
+            );
+        }
+    }
+
+    #[test]
+    fn any_power_costs_at_most_log2_squarings() {
+        for m in [1, 2, 66, 462, 10_000] {
+            for k in [2, 3, 499, usize::MAX - 1, usize::MAX] {
+                assert!(power_split(m, k) <= k.ilog2(), "m={m} k={k}");
+            }
+        }
+        // A contraction's huge power underflows to exactly zero, after
+        // at most 63 squarings.
+        let a = Matrix::from_rows(&[&[0.5, 0.25], &[0.1, 0.3]]);
+        let v = Vector::from(vec![0.4, 0.6]);
+        assert_eq!(vec_mul_power(&v, &a, usize::MAX).as_slice(), &[0.0, 0.0]);
     }
 
     #[test]

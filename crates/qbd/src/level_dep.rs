@@ -298,8 +298,7 @@ impl LevelDependentSolution {
         if n < k {
             self.boundary[n].clone()
         } else {
-            let rk = spectral::matrix_power(&self.r, n - k);
-            rk.vec_mul(&self.pi_k)
+            spectral::vec_mul_power(&self.pi_k, &self.r, n - k)
         }
     }
 
@@ -311,14 +310,16 @@ impl LevelDependentSolution {
     /// Tail probability `Pr(Q > q)`.
     pub fn tail_probability(&self, q: usize) -> f64 {
         let k = self.boundary.len();
-        if q + 1 >= k {
+        // The first level above q; it saturates at usize::MAX, where
+        // the tail has underflowed to 0 either way.
+        let above = q.saturating_add(1);
+        if above >= k {
             // Entirely inside the geometric region.
-            let rk = spectral::matrix_power(&self.r, q + 1 - k);
-            rk.vec_mul(&self.pi_k).dot(&self.geo_eps)
+            spectral::vec_mul_power(&self.pi_k, &self.r, above - k).dot(&self.geo_eps)
         } else {
             // Boundary part beyond q, plus the whole geometric tail.
             let mut p = 0.0;
-            for v in &self.boundary[q + 1..] {
+            for v in &self.boundary[above..] {
                 p += v.sum();
             }
             p + self.pi_k.dot(&self.geo_eps)

@@ -77,10 +77,7 @@ impl QbdSolution {
         match n {
             0 => self.pi0.clone(),
             1 => self.pi1.clone(),
-            _ => {
-                let rk = spectral::matrix_power(&self.r, n - 1);
-                rk.vec_mul(&self.pi1)
-            }
+            _ => spectral::vec_mul_power(&self.pi1, &self.r, n - 1),
         }
     }
 
@@ -94,8 +91,7 @@ impl QbdSolution {
     /// This is the paper's QoS metric: by PASTA it is the probability an
     /// arriving task finds more than `k` tasks in the system.
     pub fn tail_probability(&self, k: usize) -> f64 {
-        let rk = spectral::matrix_power(&self.r, k);
-        rk.vec_mul(&self.pi1).dot_compensated(&self.sums[0])
+        spectral::vec_mul_power(&self.pi1, &self.r, k).dot_compensated(&self.sums[0])
     }
 
     /// Probability that the queue length is at least `k`, `Pr(Q ≥ k)`.
@@ -144,12 +140,14 @@ impl QbdSolution {
             return Some(0);
         }
         let mut v = self.pi1.clone();
+        let mut next = Vector::zeros(v.len());
         for k in 1..=max_k {
             cdf += v.sum_compensated();
             if cdf >= p {
                 return Some(k);
             }
-            v = self.r.vec_mul(&v);
+            self.r.vec_mul_into(&v, &mut next);
+            std::mem::swap(&mut v, &mut next);
         }
         None
     }
@@ -187,9 +185,11 @@ impl QbdSolution {
         }
         out.push(self.pi0.sum_compensated());
         let mut v = self.pi1.clone();
+        let mut next = Vector::zeros(v.len());
         for _ in 1..len {
             out.push(v.sum_compensated());
-            v = self.r.vec_mul(&v);
+            self.r.vec_mul_into(&v, &mut next);
+            std::mem::swap(&mut v, &mut next);
         }
         out
     }
@@ -199,9 +199,11 @@ impl QbdSolution {
     pub fn tail_probabilities(&self, len: usize) -> Vec<f64> {
         let mut out = Vec::with_capacity(len);
         let mut v = self.pi1.clone();
+        let mut next = Vector::zeros(v.len());
         for _ in 0..len {
             out.push(v.dot_compensated(&self.sums[0]));
-            v = self.r.vec_mul(&v);
+            self.r.vec_mul_into(&v, &mut next);
+            std::mem::swap(&mut v, &mut next);
         }
         out
     }
@@ -347,6 +349,36 @@ mod tests {
                 "k={k}"
             );
         }
+    }
+
+    #[test]
+    fn vector_products_match_the_matrix_power_reference() {
+        let (_, sol) = solved();
+        let (r, pi1, s1) = (sol.r_matrix(), sol.pi1(), &sol.geometric_sums()[0]);
+        // Within 1e-12 relative; exactly 0 where the reference underflows.
+        let close = |got: f64, want: f64| {
+            if want == 0.0 {
+                got == 0.0
+            } else {
+                ((got - want) / want).abs() <= 1e-12
+            }
+        };
+        for k in [0usize, 1, 2, 3, 9, 64, 99, 499, 5000] {
+            let want = spectral::matrix_power(r, k).vec_mul(pi1);
+            let level = sol.level(k + 1);
+            for (&g, &w) in level.as_slice().iter().zip(want.as_slice()) {
+                assert!(close(g, w), "k={k}: level {g:e} vs {w:e}");
+            }
+            let tail = want.dot_compensated(s1);
+            assert!(
+                close(sol.tail_probability(k), tail),
+                "k={k}: tail vs {tail:e}"
+            );
+            assert!(close(sol.at_least_probability(k + 1), tail), "k={k}");
+        }
+        // At most ⌊log₂k⌋ squarings, so this returns at once.
+        assert_eq!(sol.at_least_probability(usize::MAX), 0.0);
+        assert_eq!(sol.tail_probability(usize::MAX), 0.0);
     }
 
     #[test]
