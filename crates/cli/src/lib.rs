@@ -70,8 +70,8 @@ SWEEP OPTIONS:    --param rho|lambda|delta|availability  --from F --to T --steps
                   (delta and availability hold the base model's arrival
                   rate fixed: --lambda, or --rho times the base capacity)
                   --metric mean|normalized|tail:K  --threads N (0 = all cores)
-                  --kernel-threads N (in-solve linear-algebra threads;
-                  0 = all cores; results identical at any count)
+                  (every point runs the solve ladder of `solve`; a point
+                  it rejects prints NaN)
 
 SWEEP STORE OPTIONS (crash-safe resume):
   --store PATH           durable result store (append-only, checksummed
@@ -123,8 +123,10 @@ RESILIENCE OPTIONS (solve, simulate and sweep):
                          or a '+'-joined list of shift|equilibrate|refine
                          (default none; a breakdown gets one fully
                          hardened retry)
-  --tolerance T          target solver tolerance (default 1e-10); a G
-                         that misses it fails the solve, it is never
+  --tolerance T          solver tolerance (default 1e-14): logarithmic
+                         reduction stops below it, and G must meet
+                         T x max(1, sum of block norms) as its residual;
+                         a G that misses it fails the solve, it is never
                          relaxed
 
 OBSERVABILITY OPTIONS (all commands):
@@ -276,7 +278,7 @@ const KNOWN_OPTIONS: &[&str] = &[
     // resilience
     "deadline", "max-iter", "hardening", "tolerance",
     // sweep
-    "param", "from", "to", "steps", "metric", "kernel-threads", "store", "resume", "shard",
+    "param", "from", "to", "steps", "metric", "store", "resume", "shard",
     "retry-failed",
     // simulate
     "task", "strategy", "cycles", "reps", "seed", "warmup", "resume-penalty", "detection-delay",
@@ -666,9 +668,6 @@ pub fn run<W: std::io::Write>(command: &str, args: &Args, out: &mut W) -> Result
             let mut opts = SweepOptions::default()
                 .with_threads(args.get("threads", 0usize)?)
                 .with_retry_failed(args.has("retry-failed"));
-            if args.has("kernel-threads") {
-                opts = opts.with_kernel_threads(args.get("kernel-threads", 0usize)?);
-            }
             // Cooperative shutdown: first Ctrl-C trips the process-wide
             // cancel flag and the sweep drains gracefully (flushes the
             // store, exits 40); a second Ctrl-C kills the process. On
@@ -1309,6 +1308,9 @@ mod tests {
     use super::*;
     use performa_dist::Moments;
 
+    // Tests that solve hold `performa_obs::test_lock()`: the recorder is
+    // process-global, so their spans would otherwise land in the trace
+    // window of `obs_flags_produce_trace_and_profile`.
     fn args(pairs: &[(&str, &str)]) -> Args {
         let raw: Vec<String> = pairs
             .iter()
@@ -1418,6 +1420,7 @@ mod tests {
 
     #[test]
     fn solve_command_prints_metrics() {
+        let _guard = performa_obs::test_lock();
         let a = args(&[("rho", "0.7"), ("down", "tpt:9:1.4:0.2:10"), ("tail", "500")]);
         let mut buf = Vec::new();
         let status = run("solve", &a, &mut buf).unwrap();
@@ -1432,6 +1435,7 @@ mod tests {
 
     #[test]
     fn solve_reports_delay_bound_violation() {
+        let _guard = performa_obs::test_lock();
         let a = args(&[("rho", "0.5"), ("delay-bound", "5.0")]);
         let mut buf = Vec::new();
         run("solve", &a, &mut buf).unwrap();
@@ -1458,6 +1462,7 @@ mod tests {
 
     #[test]
     fn starved_iteration_budget_is_a_typed_error() {
+        let _guard = performa_obs::test_lock();
         // Three logred iterations cannot reach the tolerance at rho 0.7,
         // so the supervisor must exhaust its budget and fail.
         let a = args(&[("rho", "0.7"), ("max-iter", "3")]);
@@ -1564,6 +1569,7 @@ mod tests {
 
     #[test]
     fn sweep_with_store_replays_and_verify_reports() {
+        let _guard = performa_obs::test_lock();
         let path = std::env::temp_dir().join(format!(
             "performa_cli_store_unit_{}.log",
             std::process::id()
@@ -1675,6 +1681,7 @@ mod tests {
 
     #[test]
     fn sweep_outputs_csv() {
+        let _guard = performa_obs::test_lock();
         let a = args(&[("param", "rho"), ("from", "0.2"), ("to", "0.8"), ("steps", "3"),
                        ("metric", "mean")]);
         let mut buf = Vec::new();
@@ -1691,6 +1698,7 @@ mod tests {
 
     #[test]
     fn sweep_handles_unstable_points_as_nan() {
+        let _guard = performa_obs::test_lock();
         let a = args(&[("param", "lambda"), ("from", "1.0"), ("to", "10.0"),
                        ("steps", "3"), ("metric", "mean")]);
         let mut buf = Vec::new();
@@ -1701,6 +1709,7 @@ mod tests {
 
     #[test]
     fn availability_sweep_preserves_cycle() {
+        let _guard = performa_obs::test_lock();
         let a = args(&[("param", "availability"), ("from", "0.5"), ("to", "0.95"),
                        ("steps", "2"), ("metric", "normalized"), ("lambda", "1.8"),
                        ("down", "hyp2:10:20")]);
@@ -1797,6 +1806,7 @@ mod tests {
 
     #[test]
     fn sensitivity_command_runs() {
+        let _guard = performa_obs::test_lock();
         let a = args(&[("rho", "0.5"), ("down", "tpt:5:1.4:0.2:10")]);
         let mut buf = Vec::new();
         run("sensitivity", &a, &mut buf).unwrap();
@@ -1807,6 +1817,7 @@ mod tests {
 
     #[test]
     fn simulate_command_runs_small() {
+        let _guard = performa_obs::test_lock();
         let a = args(&[("rho", "0.4"), ("cycles", "300"), ("reps", "2"),
                        ("strategy", "discard"), ("delta", "0.0"),
                        ("down", "tpt:3:1.4:0.5:10")]);

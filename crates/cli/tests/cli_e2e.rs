@@ -280,6 +280,7 @@ fn unknown_options_are_usage_errors() {
         &["sweep", "--parm", "delta"],
         &["solve", "--metrics-out", prom],
         &["solve", "--fallback", "logred"],
+        &["sweep", "--kernel-threads", "1"],
     ] {
         let (code, out, err) = performa_code(argv);
         assert_eq!(code, Some(2), "{argv:?}: {out}");

@@ -23,10 +23,10 @@
 //!   QBD), closing the gap to the physical multi-processor system,
 //! * [`FiniteBufferCluster`] — the ME/MMPP/1/K finite-dispatcher-queue
 //!   variant with loss probabilities,
-//! * [`ClusterModel::solve_supervised`] — the resilient solver entry
-//!   point: logarithmic reduction with numerical watchdogs and one
-//!   hardened retry after a breakdown, returning a structured
-//!   [`SolveReport`].
+//! * [`ClusterModel::solve_supervised`] — the solve ladder every
+//!   solve runs ([`ClusterModel::solve`] and the sweep pool included):
+//!   logarithmic reduction with numerical watchdogs and one hardened
+//!   retry after a breakdown, returning a structured [`SolveReport`].
 //!
 //! # Quickstart: reproducing a point of the paper's Figure 1
 //!
@@ -89,9 +89,10 @@ pub use performa_store::{
 };
 
 // Re-exported so callers of [`ClusterModel::solve_supervised`] can
-// configure the resilient solver pipeline without a direct QBD
-// dependency.
-pub use performa_qbd::{SolveReport, SolveWarning, SolverSupervisor, SupervisorOptions};
+// configure the solve ladder without a direct QBD dependency.
+pub use performa_qbd::{
+    SolveOptions, SolveReport, SolveWarning, SolverSupervisor, SupervisorOptions,
+};
 
 /// Result alias for fallible model operations.
 pub type Result<T> = std::result::Result<T, CoreError>;
@@ -116,9 +117,10 @@ pub mod prelude {
         install_sigint, store_key, Axis, ClusterBuilder, ClusterModel, ClusterSolution, CoreError,
         CrashDiscardCluster, CrashDiscardSolution, FiniteBufferCluster, FiniteBufferSolution, Grid,
         LoadDependentCluster, LoadDependentSolution, MeArrivalCluster, MeArrivalSolution,
-        RunBudget, Scenario, SolveReport, SolverSupervisor, Stop, StoreHandle, SupervisorOptions,
-        SweepOptions, SweepPlan, SweepResult, SweepStats, TransientAnalysis, EXIT_PARTIAL,
+        RunBudget, Scenario, SolveOptions, SolveReport, SolverSupervisor, Stop, StoreHandle,
+        SupervisorOptions, SweepOptions, SweepPlan, SweepResult, SweepStats, TransientAnalysis,
+        EXIT_PARTIAL,
     };
     pub use performa_dist::DistSpec;
-    pub use performa_qbd::{Hardening, SolveOptions};
+    pub use performa_qbd::Hardening;
 }

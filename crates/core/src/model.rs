@@ -1,6 +1,6 @@
 use performa_dist::{Dist, Moments};
 use performa_markov::{aggregate, Mmpp, ServerModel};
-use performa_qbd::{Qbd, SolveReport, SolverSupervisor, SupervisorOptions};
+use performa_qbd::{Qbd, SolveOptions, SolveReport};
 
 use crate::solution::ClusterSolution;
 use crate::{CoreError, Result};
@@ -197,28 +197,20 @@ impl ClusterModel {
         )?)
     }
 
-    /// Solves the model exactly.
+    /// Solves the model with default [`SolveOptions`]: the QBD solve
+    /// ladder of [`Qbd::solve_reported`], without its report.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Unstable`] when `λ ≥ ν̄`; otherwise solver failures
-    /// from the QBD layer.
+    /// See [`ClusterModel::solve_supervised`].
     pub fn solve(&self) -> Result<ClusterSolution> {
-        if self.lambda >= self.capacity() {
-            return Err(CoreError::Unstable {
-                lambda: self.lambda,
-                capacity: self.capacity(),
-            });
-        }
-        let qbd = self.to_qbd()?;
-        let sol = qbd.solve()?;
-        Ok(ClusterSolution::new(self.clone(), sol))
+        Ok(self.solve_supervised(SolveOptions::default())?.0)
     }
 
-    /// Solves the model through the resilient [`SolverSupervisor`]:
-    /// logarithmic reduction with numerical watchdogs, one fully
-    /// hardened retry after a breakdown and an optional wall-clock
-    /// deadline.
+    /// Solves the model through the QBD solve ladder
+    /// ([`Qbd::solve_reported`]): logarithmic reduction with numerical
+    /// watchdogs, drift, residual and sign checks, one fully hardened
+    /// retry after a breakdown and an optional wall-clock deadline.
     ///
     /// Returns the solution together with a [`SolveReport`] describing
     /// how hard the solver had to work and whether the result is
@@ -226,12 +218,12 @@ impl ClusterModel {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Unstable`] when `λ ≥ ν̄`; otherwise supervisor
-    /// failures from the QBD layer (rejected G, deadline, a negative
-    /// mean queue length, invalid supervisor options).
+    /// [`CoreError::Unstable`] when `λ ≥ ν̄`; otherwise ladder failures
+    /// from the QBD layer (rejected G, deadline, a negative mean queue
+    /// length, invalid options).
     pub fn solve_supervised(
         &self,
-        options: SupervisorOptions,
+        options: SolveOptions,
     ) -> Result<(ClusterSolution, SolveReport)> {
         let _span = performa_obs::span_with(
             "core.solve",
@@ -255,8 +247,7 @@ impl ClusterModel {
                 capacity: self.capacity(),
             });
         }
-        let qbd = self.to_qbd()?;
-        let (sol, report) = SolverSupervisor::with_options(qbd, options).solve()?;
+        let (sol, report) = self.to_qbd()?.solve_reported(&options)?;
         performa_obs::event(
             performa_obs::TraceLevel::Info,
             "core.solved",
@@ -590,7 +581,7 @@ mod tests {
     fn supervised_solve_matches_plain_solve() {
         let m = paper_model(0.5);
         let plain = m.solve().unwrap();
-        let (sup, report) = m.solve_supervised(SupervisorOptions::default()).unwrap();
+        let (sup, report) = m.solve_supervised(SolveOptions::default()).unwrap();
         assert!((plain.mean_queue_length() - sup.mean_queue_length()).abs() < 1e-9);
         assert!(!report.degraded);
         assert!(report.residual.is_finite() && report.residual < 1e-8);
@@ -600,7 +591,7 @@ mod tests {
     fn supervised_solve_rejects_unstable_load() {
         let m = paper_model(0.5).with_arrival_rate(5.0).unwrap();
         assert!(matches!(
-            m.solve_supervised(SupervisorOptions::default()),
+            m.solve_supervised(SolveOptions::default()),
             Err(CoreError::Unstable { .. })
         ));
     }

@@ -23,9 +23,9 @@
 //! # Determinism
 //!
 //! The engine is **bit-identical** to the serial loop
-//! `for x { axis.apply(template, x).solve() }`: each point is an
-//! independent plain [`ClusterModel::solve`] (the cached modulator is
-//! built by the same deterministic construction it replaces), and
+//! `for x { axis.apply(template, x).solve() }`: each point runs the
+//! same solve ladder as [`ClusterModel::solve`] (the cached modulator
+//! is built by the same deterministic construction it replaces), and
 //! results are stored by index. A durable-store replay hands back the
 //! stored parts of the original solve, so it is bit-identical too.
 //!
@@ -292,22 +292,12 @@ pub struct SweepOptions {
     /// these options shares it.
     pub stop: Stop,
     /// Fixed per-point deadline. A point that trips it twice — the
-    /// cold attempt and one hardened retry under a fresh deadline — is
+    /// first grant and one fresh grant of the same solve ladder — is
     /// persisted as a *quarantined* failure ([`CoreError::Quarantined`])
     /// so a resumed run replays the failure instead of re-blocking a
     /// pool thread on it. Combined with a deadline on `stop`, the
     /// tighter of the two grants applies.
     pub point_deadline: Option<Duration>,
-    /// Threads for the *linear-algebra kernels inside one solve*
-    /// (parallel GEMM row panels and multi-RHS LU stripes), applied
-    /// process-wide via [`performa_linalg::threading::set_threads`]
-    /// when the plan runs. Independent of `threads` (the per-point
-    /// worker pool): a wide sweep wants many point workers and serial
-    /// kernels; a single huge point wants the opposite. `0` means all
-    /// cores, `None` leaves the process setting untouched. Kernel
-    /// threading never changes results — the parallel schedules are
-    /// bitwise identical to serial.
-    pub kernel_threads: Option<usize>,
 }
 
 impl SweepOptions {
@@ -344,13 +334,6 @@ impl SweepOptions {
     #[must_use]
     pub fn with_point_deadline(mut self, deadline: Duration) -> Self {
         self.point_deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the in-solve kernel thread count (`0` = all cores).
-    #[must_use]
-    pub fn with_kernel_threads(mut self, threads: usize) -> Self {
-        self.kernel_threads = Some(threads);
         self
     }
 }
@@ -566,9 +549,6 @@ impl SweepPlan {
     {
         let n = self.points.len();
         let threads = effective_threads(self.options.threads, n);
-        if let Some(kt) = self.options.kernel_threads {
-            performa_linalg::threading::set_threads(kt);
-        }
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<(Result<T>, PointCost)>> = (0..n).map(|_| None).collect();
         let slots_mx = Mutex::new(&mut slots);
@@ -660,20 +640,6 @@ fn effective_threads(requested: usize, points: usize) -> usize {
         requested
     };
     requested.clamp(1, points.max(1))
-}
-
-/// Solver failures that earn the ladder's one hardened retry under a
-/// fresh point stop: numerical breakdowns, exhausted iteration budgets
-/// and deadline trips (the first grant may have been starved by a noisy
-/// cost estimate or a contended pool). Everything else — bad blocks,
-/// instability, cancellation — would fail the same way again.
-fn retryable(e: &QbdError) -> bool {
-    matches!(
-        e,
-        QbdError::NumericalBreakdown { .. }
-            | QbdError::NoConvergence { .. }
-            | QbdError::DeadlineExceeded { .. }
-    )
 }
 
 /// A solver error as the point's outcome. A cancelled solve becomes
@@ -808,7 +774,7 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Counts and reports a quarantined point: the per-point deadline
-    /// tripped on both the first attempt and the hardened retry.
+    /// tripped on both of its grants.
     fn quarantine(&self, x: f64, first: &QbdError, second: &QbdError) -> CoreError {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         performa_obs::counter_add("sweep.quarantined", 1);
@@ -818,7 +784,7 @@ impl<'a> ExecContext<'a> {
             vec![("axis", self.plan.label.into()), ("x", x.into())],
         );
         CoreError::Quarantined {
-            message: format!("first attempt: {first}; hardened retry: {second}"),
+            message: format!("first grant: {first}; second grant: {second}"),
         }
     }
 
@@ -845,7 +811,7 @@ impl<'a> ExecContext<'a> {
     }
 
     /// One point's pipeline: stability gate, store lookup, the solve
-    /// with its retry decision, then persisting the fresh outcome.
+    /// with its deadline rule, then persisting the fresh outcome.
     fn solve_point(
         &self,
         point: &PlanPoint,
@@ -946,15 +912,14 @@ impl<'a> ExecContext<'a> {
         Ok(())
     }
 
-    /// Solves one point: the cached modulator, then the plain cold
-    /// solve — exactly `ClusterModel::solve`'s solver invocation. A
-    /// [`retryable`] failure earns one hardened retry under a fresh
-    /// point stop: near the blow-up thresholds the default-tolerance
-    /// solve occasionally breaks down where the hardened schedule
-    /// still converges, and the retry can only turn an error into a
-    /// solution, so solved points stay bit-identical.
-    /// A point whose first attempt and retry both trip their deadlines
-    /// is quarantined; any other second error stands.
+    /// Solves one point: the cached modulator, then the QBD solve
+    /// ladder — exactly `ClusterModel::solve`'s solver invocation, so a
+    /// point's answer does not depend on the path that produced it. The
+    /// sweep adds only a time rule: a deadline trip may be a starved
+    /// grant (a noisy cost estimate, a contended pool), so it earns one
+    /// fresh grant of the same ladder, and a second trip quarantines
+    /// the point. A point that needed the ladder's hardened retry, or a
+    /// second grant, counts as a retry.
     fn solve(
         &self,
         point: &PlanPoint,
@@ -964,27 +929,28 @@ impl<'a> ExecContext<'a> {
     ) -> Result<ClusterSolution> {
         let mmpp = self.modulator(point, model)?;
         let qbd = Qbd::m_mmpp1(model.arrival_rate(), mmpp.generator(), mmpp.rates())?;
-        let stop = self.point_stop(index)?;
-        cost.source = CostSource::Cold;
+        let ladder = |stop: Stop| qbd.solve_reported(&SolveOptions::default().with_stop(stop));
         cost.strategy = "logred";
-        let (sol, iters) = match qbd.solve_with_count(SolveOptions::default().with_stop(stop)) {
-            Err(first) if retryable(&first) => {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                performa_obs::counter_add("sweep.retry", 1);
-                cost.source = CostSource::Retry;
-                let retry = SolveOptions::hardened().with_stop(self.point_stop(index)?);
-                qbd.solve_with_count(retry).map_err(|second| {
-                    let tripped = |e: &QbdError| matches!(e, QbdError::DeadlineExceeded { .. });
-                    if tripped(&first) && tripped(&second) {
-                        self.quarantine(point.x, &first, &second)
-                    } else {
-                        point_error(second)
-                    }
-                })?
+        let (outcome, regranted) = match ladder(self.point_stop(index)?) {
+            Err(first @ QbdError::DeadlineExceeded { .. }) => {
+                let second = ladder(self.point_stop(index)?).map_err(|second| match second {
+                    QbdError::DeadlineExceeded { .. } => self.quarantine(point.x, &first, &second),
+                    other => point_error(other),
+                });
+                (second, true)
             }
-            first => first.map_err(point_error)?,
+            first => (first.map_err(point_error), false),
         };
-        cost.iterations = iters as u64;
+        let retried = regranted || matches!(&outcome, Ok((_, report)) if report.degraded);
+        cost.source = if retried {
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            performa_obs::counter_add("sweep.retry", 1);
+            CostSource::Retry
+        } else {
+            CostSource::Cold
+        };
+        let (sol, report) = outcome?;
+        cost.iterations = report.total_iterations as u64;
         Ok(ClusterSolution::new(model.clone(), sol))
     }
 
@@ -1069,9 +1035,10 @@ pub enum CostSource {
     Skipped,
     /// Replayed bit-exactly from the durable result store.
     Store,
-    /// Cold solve on the default path (logarithmic reduction).
+    /// Cold solve through the solve ladder.
     Cold,
-    /// Cold solve that needed the hardened retry of the ladder.
+    /// Cold solve that needed the ladder's hardened retry (a breakdown
+    /// rescued) or a second deadline grant.
     Retry,
 }
 
@@ -1096,8 +1063,8 @@ pub struct PointCost {
     pub elapsed: Duration,
     /// Solver `G`-stage iterations (0 for replayed or analytic points).
     pub iterations: u64,
-    /// `G`-strategy key: `logred` (cold solve and its hardened retry),
-    /// `replay`, or empty when no solver ran.
+    /// `G`-strategy key: `logred` (the solve ladder), `replay`, or
+    /// empty when no solver ran.
     pub strategy: &'static str,
     /// The path that produced the outcome.
     pub source: CostSource,
@@ -1130,7 +1097,7 @@ pub struct SweepStats {
     /// persisted — a resumed run re-solves exactly this gap.
     pub cancelled: usize,
     /// Points quarantined by this run: the per-point deadline tripped
-    /// on both the first attempt and the hardened retry, and the
+    /// on both of the point's grants, and the
     /// failure was persisted so a resume replays it instead of
     /// re-blocking a pool thread (a subset of `failed`).
     pub quarantined: usize,
@@ -1143,7 +1110,9 @@ pub struct SweepStats {
     pub store_hits: u64,
     /// Fresh outcomes appended to the durable result store.
     pub store_appends: u64,
-    /// Cold solves that took the hardened retry of the ladder.
+    /// Points solved by the ladder's hardened retry
+    /// ([`performa_qbd::SolveReport::degraded`]) or re-granted after a
+    /// deadline trip.
     pub retries: u64,
     /// Summed solver `G`-stage iterations across all points.
     pub total_iterations: u64,

@@ -1,6 +1,7 @@
 //! Retry-ladder coverage via fault injection: a poisoned cold solve
-//! recovers through the one hardened retry, a stalled solver exhausts
-//! the ladder and persists a typed failure record.
+//! recovers through the ladder's one hardened retry, a stalled solver
+//! exhausts its budget — which earns no retry — and persists a typed
+//! failure record.
 //!
 //! The injected plans are process-wide (`arm_global`) because sweep
 //! pool workers are fresh threads; the tests serialize on a local lock
@@ -96,8 +97,8 @@ fn stalled_solver_exhausts_the_ladder_and_persists_the_failure() {
     };
 
     {
-        // Persistent stall: the plain attempt *and* the hardened retry
-        // both burn their iteration budgets.
+        // Persistent stall: the attempt burns its iteration budget. An
+        // exhausted budget is no breakdown, so no retry follows.
         let _armed = arm_global(FaultPlan {
             poison: None,
             stall: Some("logred"),
@@ -105,7 +106,7 @@ fn stalled_solver_exhausts_the_ladder_and_persists_the_failure() {
         let result = one_point_plan()
             .with_options(open())
             .run_map(|s| s.mean_queue_length());
-        assert_eq!(result.stats().retries, 1);
+        assert_eq!(result.stats().retries, 0);
         assert_eq!(result.stats().failed, 1);
         assert_eq!(result.stats().store_appends, 1, "failure record not persisted");
         assert!(matches!(

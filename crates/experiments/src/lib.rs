@@ -152,7 +152,6 @@ pub struct ObsGuard {
 /// binaries' run lengths (through [`arg_or`]).
 const KNOWN_OPTIONS: &[&str] = &[
     "--threads",
-    "--kernel-threads",
     "--store",
     "--retry-failed",
     "--deadline",
@@ -270,9 +269,6 @@ pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
 /// command line:
 ///
 /// * `--threads N` — worker pool size (`0` = all cores),
-/// * `--kernel-threads N` — linear-algebra kernel threads inside one
-///   solve (`0` = all cores; default leaves the process setting, i.e.
-///   `PERFORMA_THREADS` or serial),
 /// * `--store PATH` — durable result store; cached points replay
 ///   bit-identically, so a re-run after a crash (or a parameter-subset
 ///   run) only solves what is missing,
@@ -306,9 +302,6 @@ pub fn sweep_options_from_args() -> SweepOptions {
         .with_threads(arg_or("--threads", 0))
         .with_retry_failed(std::env::args().any(|a| a == "--retry-failed"))
         .with_stop(performa_core::Stop::for_process());
-    if std::env::args().any(|a| a == "--kernel-threads") {
-        opts = opts.with_kernel_threads(arg_or("--kernel-threads", 0));
-    }
     if std::env::args().any(|a| a == "--deadline") {
         let secs: f64 = arg_or("--deadline", -1.0);
         if !(secs.is_finite() && secs >= 0.0) {
@@ -544,13 +537,17 @@ mod tests {
     fn unknown_options_are_named() {
         let argv = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
         for known in [
-            "--threads 2 --kernel-threads 1 --deadline 0 --store s.store --retry-failed",
+            "--threads 2 --deadline 0 --store s.store --retry-failed",
             "--trace-level info --trace-json t.ndjson --profile --reps 3 --cycles 100",
             "",
         ] {
             assert_eq!(unknown_option(&argv(known)), None, "{known}");
         }
         assert_eq!(unknown_option(&argv("--deadlin 0")), Some("--deadlin"));
+        assert_eq!(
+            unknown_option(&argv("--kernel-threads 1")),
+            Some("--kernel-threads")
+        );
         assert_eq!(
             unknown_option(&argv("--threads 2 --horizon 9")),
             Some("--horizon")

@@ -69,7 +69,7 @@ pub struct GaugeStat {
 /// One remembered iteration from a flight-recorder dump.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightIter {
-    /// Stage key (`"logred"`, `"neuts"`, `"functional"`).
+    /// Stage key (`"logred"`).
     pub stage: String,
     /// Iteration index within the stage.
     pub iteration: u64,

@@ -29,7 +29,7 @@ pub const CAPACITY: usize = 32;
 /// One remembered solver iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterRecord {
-    /// Stage key (`"logred"`, `"neuts"`, `"functional"`).
+    /// Stage key (`"logred"`).
     pub stage: &'static str,
     /// Iteration index within the stage.
     pub iteration: u64,

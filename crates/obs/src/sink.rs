@@ -27,8 +27,8 @@ pub trait Sink: Send + Sync {
 /// Lines look like:
 ///
 /// ```text
-/// [  0.001234] INFO  qbd.attempt> strategy="logred" tolerance=1.0e-10
-/// [  0.004321] WARN  qbd.watchdog_trip stage="neuts" iteration=184
+/// [  0.001234] INFO  qbd.attempt> strategy="logred" tolerance=1.0e-14
+/// [  0.004321] WARN  qbd.watchdog_trip stage="logred" iteration=184
 /// [  0.005000] INFO  qbd.attempt< elapsed=3.766ms
 /// ```
 #[derive(Debug, Default)]

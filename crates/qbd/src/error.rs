@@ -162,7 +162,7 @@ mod tests {
         assert!(e.to_string().contains("row sums"));
 
         let e = QbdError::NumericalBreakdown {
-            stage: "neuts",
+            stage: "logred",
             iteration: 7,
         };
         assert!(e.to_string().contains("non-finite"));

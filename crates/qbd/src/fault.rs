@@ -4,7 +4,7 @@
 //! `fault-injection` feature; release builds therefore pay nothing for
 //! the hooks. With the feature enabled, tests arm a thread-local
 //! `FaultPlan` describing which G-matrix stage to sabotage and how,
-//! then run [`crate::SolverSupervisor::solve`] (or a sweep) and assert
+//! then run [`crate::Qbd::solve_reported`] (or a sweep) and assert
 //! that the watchdogs catch the corruption and the solve recovers or
 //! fails with a typed error:
 //!
@@ -15,8 +15,7 @@
 //!   whole iteration budget; the supervisor must fail with
 //!   `NoConvergence` (or, with a deadline set, `DeadlineExceeded`).
 //!
-//! Stage keys are `"logred"` (the supervisor's and the plain solve's
-//! stage), `"functional"` and `"neuts"`.
+//! The one stage key is `"logred"`, the `G` stage of every solve.
 
 #[cfg(feature = "fault-injection")]
 mod imp {

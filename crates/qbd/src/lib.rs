@@ -18,10 +18,11 @@
 //! computes the paper's performability metrics: mean queue length,
 //! queue-length tail probabilities `Pr(Q > k)` and the full pmf.
 //!
-//! * [`Qbd`] — model definition + [`Qbd::solve`] via logarithmic reduction,
-//! * [`SolverSupervisor`] — resilient solves: logarithmic reduction
-//!   with NaN/Inf watchdogs and one hardened retry after a breakdown,
-//!   condition-number surveillance and a [`SolveReport`],
+//! * [`Qbd`] — model definition + [`Qbd::solve_reported`], the one
+//!   solve ladder: logarithmic reduction with NaN/Inf watchdogs, drift,
+//!   residual and sign checks, one hardened retry after a breakdown,
+//!   condition-number surveillance and a [`SolveReport`]
+//!   ([`Qbd::solve`] and [`SolverSupervisor`] are thin calls of it),
 //! * [`QbdSolution`] — the stationary law and derived metrics,
 //! * [`LevelDependentQbd`] — finitely many inhomogeneous boundary levels
 //!   (used for the load-dependent cluster variant of paper Sect. 2.4),

@@ -95,12 +95,13 @@ fn undo_shift(g: &mut Matrix, um: f64) {
     }
 }
 
-/// Numerical-hardening switches for the `G`-matrix stages.
+/// Numerical-hardening switches for the `G` stage and the `R` and
+/// boundary solves.
 ///
-/// All off by default — the default path is bit-identical to the
-/// unhardened solver. The supervisor's recovery ladder escalates to
-/// [`Hardening::full`] when a stage breaks down or the drift
-/// classifier reports a near-null-recurrent chain.
+/// All off by default. The solve ladder ([`Qbd::solve_reported`])
+/// escalates to [`Hardening::full`] when logarithmic reduction breaks
+/// down or the drift ratio puts the chain in the near-null-recurrent
+/// band.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Hardening {
@@ -111,10 +112,6 @@ pub struct Hardening {
     /// near-null-recurrent chains where the unshifted iteration stalls
     /// and overflows. Valid only for recurrent chains (`Gε = ε`);
     /// requesting it on an unstable chain yields [`QbdError::Unstable`].
-    /// Applied by logarithmic reduction and functional iteration; Neuts
-    /// substitution ignores it (the shift breaks the non-negativity its
-    /// monotone convergence relies on) but still enforces the
-    /// recurrence gate.
     pub shift: bool,
     /// Row/column equilibration of every LU factorization in the stage
     /// (see [`performa_linalg::lu::FactorOptions::equilibrate`]).
@@ -246,7 +243,8 @@ impl FromStr for Hardening {
     }
 }
 
-/// Options controlling the iterative stages of [`Qbd::solve`].
+/// Options of the solve ladder ([`Qbd::solve_reported`]) and of the raw
+/// [`Qbd::g_matrix`] stage.
 ///
 /// `#[non_exhaustive]` — construct via [`SolveOptions::default`] (or
 /// [`SolveOptions::hardened`]) and the `with_*` builders, so new knobs
@@ -254,16 +252,21 @@ impl FromStr for Hardening {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SolveOptions {
-    /// Convergence tolerance on the `G` iteration (infinity norm).
+    /// Convergence tolerance of logarithmic reduction (infinity norm of
+    /// the increment), and the ladder's residual budget
+    /// `tolerance × max(1, Σ‖Aᵢ‖∞)`. Default `1e-14`.
     pub tolerance: f64,
-    /// Iteration cap for the `G` computation.
+    /// Iteration budget of each logarithmic-reduction attempt.
     pub max_iterations: usize,
-    /// Numerical hardening applied to the `G` stages (default: none).
+    /// Hardening of the first attempt (default: none). Independent of
+    /// it the ladder hardens fully in the near-null-recurrent band and
+    /// for its one retry after a breakdown.
     pub hardening: Hardening,
-    /// Interruption of the `G` stages, probed at the amortized check
-    /// stride: cancellation yields [`QbdError::Cancelled`], an
-    /// expired deadline [`QbdError::DeadlineExceeded`]. The default
-    /// never fires. Options reused across solves share its deadline.
+    /// Interruption of the solve, probed before each attempt and at the
+    /// amortized check stride inside it: cancellation yields
+    /// [`QbdError::Cancelled`], an expired deadline
+    /// [`QbdError::DeadlineExceeded`]. The default never fires. Options
+    /// reused across solves share its deadline.
     pub stop: Stop,
 }
 
@@ -635,7 +638,8 @@ impl Qbd {
     ///
     /// `G` is the minimal non-negative solution of
     /// `A2 + A1·G + A0·G² = 0`; it is stochastic iff the chain is
-    /// recurrent.
+    /// recurrent. This is the raw stage: none of the ladder's checks
+    /// ([`Qbd::solve_reported`]) judge the returned `G`.
     ///
     /// # Errors
     ///
@@ -655,7 +659,7 @@ impl Qbd {
     /// Counted logarithmic reduction with NaN/Inf watchdog, [`Stop`]
     /// probes, fault-injection hooks (stage key `"logred"`)
     /// and [`Hardening`] mitigations. Backs both [`Qbd::g_matrix`] and
-    /// the supervisor.
+    /// the solve ladder.
     ///
     /// With `hardening.shift` the recursion runs on the deflated blocks
     /// `(A0, Ã1, Ã2)` and converges to `Ĝ = G − εuᵀ`; the shift is
@@ -765,243 +769,6 @@ impl Qbd {
         })
     }
 
-    /// Computes `G` by plain functional iteration
-    /// `G ← (−A1)⁻¹(A2 + A0·G²)` — linearly convergent; kept as the
-    /// baseline for the solver-ablation benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Qbd::g_matrix`], with a larger default budget
-    /// needed in practice.
-    pub fn g_matrix_functional(&self, tolerance: f64, max_iterations: usize) -> Result<Matrix> {
-        Ok(self
-            .g_functional_counted(
-                tolerance,
-                max_iterations,
-                &Stop::default(),
-                Hardening::default(),
-            )?
-            .0)
-    }
-
-    /// [`Qbd::g_matrix_functional`] with explicit [`SolveOptions`],
-    /// including hardening (shift + equilibration + refinement).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Qbd::g_matrix_functional`], plus
-    /// [`QbdError::Unstable`] when a shift is requested on an unstable
-    /// chain.
-    pub fn g_matrix_functional_with(&self, opts: SolveOptions) -> Result<Matrix> {
-        Ok(self.g_matrix_functional_with_count(opts)?.0)
-    }
-
-    /// [`Qbd::g_matrix_functional_with`] returning the iteration count
-    /// alongside `G`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Qbd::g_matrix_functional_with`].
-    pub fn g_matrix_functional_with_count(&self, opts: SolveOptions) -> Result<(Matrix, usize)> {
-        self.g_functional_counted(
-            opts.tolerance,
-            opts.max_iterations,
-            &opts.stop,
-            opts.hardening,
-        )
-    }
-
-    /// Counted functional iteration with watchdogs (stage key
-    /// `"functional"`); see [`Qbd::g_logred_counted`]. The shift runs
-    /// the iteration `Ĝ ← (−Ã1)⁻¹(Ã2 + A0·Ĝ²)` on the deflated blocks
-    /// and undoes the shift on the result.
-    pub(crate) fn g_functional_counted(
-        &self,
-        tolerance: f64,
-        max_iterations: usize,
-        stop: &Stop,
-        hardening: Hardening,
-    ) -> Result<(Matrix, usize)> {
-        self.shift_gate(hardening)?;
-        let m = self.phase_dim();
-        let um = 1.0 / m as f64;
-        if hardening.shift {
-            performa_obs::counter_add("qbd.shift_applied", 1);
-        }
-        workspace::with(m, |ws| {
-            // k1 = base = (−Ã1)⁻¹·Ã2, k2 = up = (−Ã1)⁻¹·A0; iterate
-            // x1 = Ĝ seeded from base (Ã1 = A1, Ã2 = A2 unshifted).
-            ws.t1.copy_from(&self.a1);
-            ws.t1.scale_mut(-1.0);
-            if hardening.shift {
-                subtract_rank_one_rowsum(&mut ws.t1, &self.a0.dense().row_sums(), um);
-            }
-            ws.lu.factor_with(&ws.t1, hardening.setup_factor())?;
-            let down_block = if hardening.shift {
-                ws.t2.copy_from(self.a2.dense());
-                subtract_rank_one_rowsum(&mut ws.t2, &self.a2.dense().row_sums(), um);
-                &ws.t2
-            } else {
-                self.a2.dense()
-            };
-            if hardening.refine {
-                let s1 = ws.lu.solve_mat_refined_into(down_block, &mut ws.k1)?;
-                let s2 = ws.lu.solve_mat_refined_into(self.a0.dense(), &mut ws.k2)?;
-                performa_obs::counter_add(
-                    "qbd.refine_iters",
-                    (s1.iterations + s2.iterations) as u64,
-                );
-            } else {
-                ws.lu.solve_mat_into(down_block, &mut ws.k1)?;
-                ws.lu.solve_mat_into(self.a0.dense(), &mut ws.k2)?;
-            }
-            ws.x1.copy_from(&ws.k1);
-
-            let mut last_diff = f64::NAN;
-            for it in 0..max_iterations {
-                let checking = checked_iteration(it, max_iterations);
-                if checking {
-                    if let Some(why) = stop.probe() {
-                        return Err(QbdError::interrupted(why, "functional", it));
-                    }
-                }
-                // next = base + up·G² assembled in t2.
-                gemm(1.0, &ws.x1, &ws.x1, 0.0, &mut ws.t1);
-                ws.t2.copy_from(&ws.k1);
-                gemm(1.0, &ws.k2, &ws.t1, 1.0, &mut ws.t2);
-                fault::poison("functional", it, &mut ws.t2);
-                if checking {
-                    if !all_finite(&ws.t2) {
-                        watchdog_obs("functional", it);
-                        return Err(QbdError::NumericalBreakdown {
-                            stage: "functional",
-                            iteration: it,
-                        });
-                    }
-                    last_diff = ws.t2.max_abs_diff(&ws.x1);
-                    iter_obs("functional", it, last_diff);
-                    ws.gauge();
-                    let converged = !fault::stalled("functional") && last_diff < tolerance;
-                    std::mem::swap(&mut ws.x1, &mut ws.t2);
-                    if converged {
-                        let mut g = ws.x1.clone();
-                        if hardening.shift {
-                            undo_shift(&mut g, um);
-                        }
-                        return Ok((g, it + 1));
-                    }
-                } else {
-                    std::mem::swap(&mut ws.x1, &mut ws.t2);
-                }
-            }
-            Err(QbdError::NoConvergence {
-                stage: "functional iteration for G",
-                iterations: max_iterations,
-                residual: last_diff,
-            })
-        })
-    }
-
-    /// Computes `G` by Neuts' successive substitution
-    /// `G ← (−(A1 + A0·G))⁻¹·A2`, starting from `G = 0` — the classical
-    /// matrix-analytic iteration. Linearly convergent but markedly faster
-    /// than plain functional iteration (each step re-solves against the
-    /// current `U = A1 + A0·G`), and it requires no spectral assumptions
-    /// beyond stability, which makes it the independent reference the
-    /// property tests hold logarithmic reduction to.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Qbd::g_matrix`].
-    pub fn g_matrix_neuts(&self, tolerance: f64, max_iterations: usize) -> Result<Matrix> {
-        Ok(self
-            .g_neuts_counted(
-                tolerance,
-                max_iterations,
-                &Stop::default(),
-                Hardening::default(),
-            )?
-            .0)
-    }
-
-    /// [`Qbd::g_matrix_neuts`] with explicit [`SolveOptions`]. Neuts
-    /// substitution honors equilibration but not the spectral shift
-    /// (see [`Hardening::shift`]); with `shift` set it still enforces
-    /// the recurrence gate.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Qbd::g_matrix_neuts`], plus
-    /// [`QbdError::Unstable`] when a shift is requested on an unstable
-    /// chain.
-    pub fn g_matrix_neuts_with(&self, opts: SolveOptions) -> Result<Matrix> {
-        Ok(self
-            .g_neuts_counted(
-                opts.tolerance,
-                opts.max_iterations,
-                &opts.stop,
-                opts.hardening,
-            )?
-            .0)
-    }
-
-    /// Counted Neuts substitution with watchdogs (stage key `"neuts"`);
-    /// see [`Qbd::g_logred_counted`]. Hardening applies equilibration to
-    /// the per-iteration factorizations; the shift flag only gates.
-    pub(crate) fn g_neuts_counted(
-        &self,
-        tolerance: f64,
-        max_iterations: usize,
-        stop: &Stop,
-        hardening: Hardening,
-    ) -> Result<(Matrix, usize)> {
-        self.shift_gate(hardening)?;
-        workspace::with(self.phase_dim(), |ws| {
-            // Iterate x1 = G, seeded at zero (the classical opening).
-            ws.x1.fill(0.0);
-            let mut last_diff = f64::NAN;
-            for it in 0..max_iterations {
-                let checking = checked_iteration(it, max_iterations);
-                if checking {
-                    if let Some(why) = stop.probe() {
-                        return Err(QbdError::interrupted(why, "neuts", it));
-                    }
-                }
-                // t1 ← −(A1 + A0·G), factored in place; next = t2.
-                ws.t1.copy_from(&self.a1);
-                gemm_left(1.0, &self.a0, &ws.x1, 1.0, &mut ws.t1);
-                ws.t1.scale_mut(-1.0);
-                ws.lu.factor_with(&ws.t1, hardening.inner_factor())?;
-                ws.lu.solve_mat_into(self.a2.dense(), &mut ws.t2)?;
-                fault::poison("neuts", it, &mut ws.t2);
-                if checking {
-                    if !all_finite(&ws.t2) {
-                        watchdog_obs("neuts", it);
-                        return Err(QbdError::NumericalBreakdown {
-                            stage: "neuts",
-                            iteration: it,
-                        });
-                    }
-                    last_diff = ws.t2.max_abs_diff(&ws.x1);
-                    iter_obs("neuts", it, last_diff);
-                    ws.gauge();
-                    let converged = !fault::stalled("neuts") && last_diff < tolerance;
-                    std::mem::swap(&mut ws.x1, &mut ws.t2);
-                    if converged {
-                        return Ok((ws.x1.clone(), it + 1));
-                    }
-                } else {
-                    std::mem::swap(&mut ws.x1, &mut ws.t2);
-                }
-            }
-            Err(QbdError::NoConvergence {
-                stage: "neuts successive substitution",
-                iterations: max_iterations,
-                residual: last_diff,
-            })
-        })
-    }
-
     /// Computes `R = A0·(−(A1 + A0·G))⁻¹` from a given `G`.
     ///
     /// # Errors
@@ -1014,9 +781,9 @@ impl Qbd {
 
     /// `R`, writing the 1-norm condition estimate of the factored
     /// system `−(A1 + A0·G)` into `cond` when one is asked for — the
-    /// supervisor surfaces it as an `IllConditioned` warning when it is
-    /// large; the plain solve paths pass `None` and skip the estimate's
-    /// extra solves. This is a one-shot solve, so `hardening.refine`
+    /// ladder surfaces it as an `IllConditioned` warning when it is
+    /// large; [`Qbd::solve_from_g`] passes `None` and skips the
+    /// estimate's extra solves. This is a one-shot solve, so `hardening.refine`
     /// buys a componentwise-certified `R` at negligible cost; the shift
     /// flag is meaningless here and ignored.
     pub(crate) fn r_from_g_with_cond(
@@ -1047,49 +814,34 @@ impl Qbd {
         })
     }
 
-    /// Full stationary solve with default options.
+    /// Full stationary solve with default options: the solve ladder
+    /// of [`Qbd::solve_reported`] without its report.
     ///
     /// # Errors
     ///
-    /// * [`QbdError::Unstable`] when the drift condition fails.
-    /// * [`QbdError::NoConvergence`] / [`QbdError::Linalg`] from the inner
-    ///   stages.
+    /// See [`Qbd::solve_reported`].
     pub fn solve(&self) -> Result<QbdSolution> {
         self.solve_with(SolveOptions::default())
     }
 
-    /// Full stationary solve: `G` by logarithmic reduction → `R` →
-    /// boundary vectors `(π₀, π₁)` and the geometric sums.
+    /// [`Qbd::solve_reported`] without its report.
     ///
     /// # Errors
     ///
-    /// See [`Qbd::solve`].
+    /// See [`Qbd::solve_reported`].
     pub fn solve_with(&self, opts: SolveOptions) -> Result<QbdSolution> {
-        Ok(self.solve_with_count(opts)?.0)
+        Ok(self.solve_reported(&opts)?.0)
     }
 
-    /// [`Qbd::solve_with`] returning the `G`-stage iteration count
-    /// alongside the solution — the number the sweep engine's per-point
-    /// cost records report for cold solves.
+    /// [`Qbd::solve_reported`] returning the accepted attempt's `G`
+    /// iteration count alongside the solution.
     ///
     /// # Errors
     ///
-    /// See [`Qbd::solve`].
+    /// See [`Qbd::solve_reported`].
     pub fn solve_with_count(&self, opts: SolveOptions) -> Result<(QbdSolution, usize)> {
-        let (up, down) = self.drift()?;
-        if up >= down {
-            return Err(QbdError::Unstable {
-                up_rate: up,
-                down_rate: down,
-            });
-        }
-        let (g, iters) = self.g_logred_counted(
-            opts.tolerance,
-            opts.max_iterations,
-            &opts.stop,
-            opts.hardening,
-        )?;
-        Ok((self.solve_from_g(g, opts.hardening)?, iters))
+        let (solution, report) = self.solve_reported(&opts)?;
+        Ok((solution, report.iterations))
     }
 
     /// Assembles the full stationary solution from an already-computed
@@ -1109,15 +861,17 @@ impl Qbd {
     }
 
     /// True residual `‖A2 + A1·G + A0·G²‖∞` of a candidate `G` — the
-    /// acceptance metric used by the supervisor.
+    /// ladder's acceptance metric. Evaluated as `A2 + (A1 + A0·G)·G` in
+    /// the thread workspace: one dense product (`A0·G` runs on the
+    /// classified kernel) and no `m×m` allocation.
     pub fn g_residual(&self, g: &Matrix) -> f64 {
-        // A0·G² on the structured kernel — bitwise identical to the
-        // dense product it replaces, so the acceptance metric is
-        // unchanged by classification.
-        let gg = g * g;
-        let mut a0gg = Matrix::zeros(g.nrows(), g.ncols());
-        gemm_left(1.0, &self.a0, &gg, 0.0, &mut a0gg);
-        (self.a2() + &(self.a1() * g) + &a0gg).norm_inf()
+        workspace::with(self.phase_dim(), |ws| {
+            ws.t1.copy_from(&self.a1);
+            gemm_left(1.0, &self.a0, g, 1.0, &mut ws.t1);
+            ws.t2.copy_from(self.a2.dense());
+            gemm(1.0, &ws.t1, g, 1.0, &mut ws.t2);
+            ws.t2.norm_inf()
+        })
     }
 
     /// Assembles the boundary vectors `(π₀, π₁)` and the full solution
@@ -1418,58 +1172,20 @@ mod tests {
     }
 
     #[test]
-    fn functional_iteration_agrees_with_log_reduction() {
-        let qbd = mmpp2(1.0);
-        let g1 = qbd.g_matrix(SolveOptions::default()).unwrap();
-        let g2 = qbd.g_matrix_functional(1e-13, 100_000).unwrap();
-        assert!(g1.max_abs_diff(&g2) < 1e-9);
-    }
-
-    #[test]
-    fn neuts_substitution_agrees_with_log_reduction() {
-        for lambda in [0.4, 1.0, 1.5] {
-            let qbd = mmpp2(lambda);
-            let g1 = qbd.g_matrix(SolveOptions::default()).unwrap();
-            let g2 = qbd.g_matrix_neuts(1e-13, 50_000).unwrap();
-            assert!(g1.max_abs_diff(&g2) < 1e-9, "lambda={lambda}");
-        }
-    }
-
-    #[test]
-    fn neuts_budget_exhaustion() {
-        let qbd = mmpp2(1.0);
-        assert!(matches!(
-            qbd.g_matrix_neuts(1e-16, 2),
-            Err(QbdError::NoConvergence { .. })
-        ));
-    }
-
-    #[test]
-    fn deadline_in_the_past_aborts_every_strategy() {
+    fn deadline_in_the_past_aborts_logred() {
         let qbd = mmpp2(1.0);
         let past = &Stop::default().child(std::time::Duration::ZERO);
-        for result in [
-            qbd.g_neuts_counted(1e-12, 100, past, Hardening::default()),
-            qbd.g_functional_counted(1e-12, 100, past, Hardening::default()),
-            qbd.g_logred_counted(1e-12, 100, past, Hardening::default()),
-        ] {
-            assert!(matches!(result, Err(QbdError::DeadlineExceeded { .. })));
-        }
+        let result = qbd.g_logred_counted(1e-12, 100, past, Hardening::default());
+        assert!(matches!(result, Err(QbdError::DeadlineExceeded { .. })));
     }
 
     #[test]
-    fn tripped_token_aborts_every_strategy() {
+    fn tripped_token_aborts_logred() {
         let qbd = mmpp2(1.0);
         let token = Stop::new();
         token.cancel();
-        let t = &token;
-        for result in [
-            qbd.g_neuts_counted(1e-12, 100, t, Hardening::default()),
-            qbd.g_functional_counted(1e-12, 100, t, Hardening::default()),
-            qbd.g_logred_counted(1e-12, 100, t, Hardening::default()),
-        ] {
-            assert!(matches!(result, Err(QbdError::Cancelled { .. })));
-        }
+        let result = qbd.g_logred_counted(1e-12, 100, &token, Hardening::default());
+        assert!(matches!(result, Err(QbdError::Cancelled { .. })));
     }
 
     #[test]
@@ -1481,15 +1197,6 @@ mod tests {
         assert!(matches!(
             qbd.solve_with(opts),
             Err(QbdError::Cancelled { .. })
-        ));
-    }
-
-    #[test]
-    fn functional_iteration_budget_exhaustion() {
-        let qbd = mmpp2(1.0);
-        assert!(matches!(
-            qbd.g_matrix_functional(1e-16, 3),
-            Err(QbdError::NoConvergence { .. })
         ));
     }
 
@@ -1540,47 +1247,10 @@ mod tests {
     }
 
     #[test]
-    fn shifted_functional_agrees_with_plain() {
-        let qbd = mmpp2(1.0);
-        let plain = qbd.g_matrix_functional(1e-13, 100_000).unwrap();
-        let opts = SolveOptions {
-            tolerance: 1e-13,
-            max_iterations: 100_000,
-            hardening: Hardening::full(),
-            ..SolveOptions::default()
-        };
-        let shifted = qbd.g_matrix_functional_with(opts).unwrap();
-        assert!(plain.max_abs_diff(&shifted) < 1e-10);
-    }
-
-    #[test]
-    fn hardened_neuts_agrees_with_plain() {
-        let qbd = mmpp2(1.0);
-        let plain = qbd.g_matrix_neuts(1e-13, 50_000).unwrap();
-        let opts = SolveOptions {
-            tolerance: 1e-13,
-            max_iterations: 50_000,
-            hardening: Hardening::full(),
-            ..SolveOptions::default()
-        };
-        let hardened = qbd.g_matrix_neuts_with(opts).unwrap();
-        assert!(plain.max_abs_diff(&hardened) < 1e-10);
-    }
-
-    #[test]
     fn shift_on_unstable_chain_is_a_typed_error() {
         let qbd = mm1(2.0, 1.0);
-        let opts = SolveOptions::hardened();
         assert!(matches!(
-            qbd.g_matrix(opts.clone()),
-            Err(QbdError::Unstable { .. })
-        ));
-        assert!(matches!(
-            qbd.g_matrix_functional_with(opts.clone()),
-            Err(QbdError::Unstable { .. })
-        ));
-        assert!(matches!(
-            qbd.g_matrix_neuts_with(opts),
+            qbd.g_matrix(SolveOptions::hardened()),
             Err(QbdError::Unstable { .. })
         ));
     }

@@ -1,28 +1,31 @@
-//! Resilient solver supervision: one logarithmic-reduction ladder,
-//! watchdogs and solve reports.
+//! The one solve ladder every stationary solve runs, its watchdogs and
+//! its report.
 //!
-//! [`SolverSupervisor`] wraps a [`Qbd`] and computes its `G` matrix by
-//! logarithmic reduction (quadratically convergent): one attempt at the
-//! requested tolerance — fully hardened from the start in the
-//! near-null-recurrent band — and, if it breaks down
-//! ([`QbdError::NumericalBreakdown`]), exactly one retry with
-//! [`Hardening::full`]. Every other rejection, and a rejected retry,
-//! ends the solve with a typed [`QbdError::NoConvergence`]. Around this
-//! ladder sit
+//! [`Qbd::solve_reported`] computes `G` by logarithmic reduction
+//! (quadratically convergent): one attempt at the requested tolerance —
+//! fully hardened from the start in the near-null-recurrent band — and,
+//! if it breaks down ([`QbdError::NumericalBreakdown`]), exactly one
+//! retry with [`Hardening::full`]. Every other rejection, and a rejected
+//! retry, ends the solve with a typed [`QbdError::NoConvergence`].
+//! Around this ladder sit
 //!
 //! * NaN/Inf watchdogs that abort a poisoned attempt early instead of
 //!   letting non-finite values propagate into the boundary solve,
 //! * a global residual acceptance test
-//!   (`‖A2 + A1·G + A0·G²‖∞ ≤ tol·scale`),
+//!   (`‖A2 + A1·G + A0·G²‖∞ ≤ tol·max(1, Σ‖Aᵢ‖∞)`),
 //! * a read-only stochasticity guard: `G` is judged exactly as the
 //!   attempt returned it, and one that drifted off the stochastic set
 //!   by more than `1e-2` is rejected (it is never rescaled),
-//! * cooperative interruption through a [`Stop`]
+//! * cooperative interruption through a [`performa_ctrl::Stop`]
 //!   ([`QbdError::Cancelled`], [`QbdError::DeadlineExceeded`]),
 //! * condition-number surveillance of the `R` and boundary linear systems
 //!   ([`SolveWarning::IllConditioned`], fed by the LU condition
 //!   estimator in `performa-linalg`),
 //! * a sign check on the mean queue length of the assembled solution.
+//!
+//! [`Qbd::solve`], [`Qbd::solve_with`], [`Qbd::solve_with_count`] and
+//! [`SolverSupervisor::solve`] are one-line calls of it, so a model
+//! gets the same answer, or the same typed failure, on every path.
 //!
 //! Every successful solve returns a [`SolveReport`] stating how hard it
 //! had to work, the final true residual, and whether the result is
@@ -33,10 +36,10 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use performa_ctrl::{Interrupt, Stop};
+use performa_ctrl::Interrupt;
 use performa_linalg::Matrix;
 
-use crate::qbd::{all_finite, Hardening, Qbd};
+use crate::qbd::{all_finite, Hardening, Qbd, SolveOptions};
 use crate::solution::QbdSolution;
 use crate::{QbdError, Result};
 
@@ -50,75 +53,21 @@ const SATURATION_MARGIN: f64 = 0.02;
 /// accepted `G` is never rewritten.
 const DRIFT_CAP: f64 = 1e-2;
 
-/// Configuration of a [`SolverSupervisor`].
-#[derive(Debug, Clone)]
-pub struct SupervisorOptions {
-    /// Requested convergence tolerance (iterate difference, and residual
-    /// acceptance scaled by the block norms).
-    pub tolerance: f64,
-    /// Iteration budget of each logarithmic-reduction attempt.
-    pub max_iterations: usize,
-    /// Emit [`SolveWarning::IllConditioned`] when a linear-system
-    /// condition estimate exceeds this threshold.
-    pub condition_threshold: f64,
-    /// Interruption of the whole solve, probed between attempts and
-    /// inside every counted iteration loop (at the amortized check
-    /// stride). An expired deadline aborts with
-    /// [`QbdError::DeadlineExceeded`]; cancellation aborts with
-    /// [`QbdError::Cancelled`] — unlike a deadline it says nothing about
-    /// the point's difficulty, so it is never retried. The default never
-    /// fires.
-    pub stop: Stop,
-    /// Baseline numerical hardening of the first attempt. Independent
-    /// of this setting the supervisor escalates to [`Hardening::full`] —
-    /// always reported via [`SolveWarning::Hardened`] — when the drift
-    /// ratio puts the chain in the near-null-recurrent band or the
-    /// attempt dies of [`QbdError::NumericalBreakdown`].
-    pub hardening: Hardening,
-}
+/// A linear-system condition estimate above this is reported as
+/// [`SolveWarning::IllConditioned`]; above it an unrefined `R` is
+/// recomputed with equilibration and iterative refinement.
+const CONDITION_THRESHOLD: f64 = 1e12;
 
-impl Default for SupervisorOptions {
-    fn default() -> Self {
-        SupervisorOptions {
-            // Residual acceptance is `tolerance × Σ‖Ai‖∞`. 1e-10 is the
-            // tightest level reliably attainable in f64 for the paper's
-            // 50+-phase blocks.
-            tolerance: 1e-10,
-            max_iterations: 200,
-            condition_threshold: 1e12,
-            stop: Stop::default(),
-            hardening: Hardening::default(),
-        }
-    }
-}
+/// The options of [`SolverSupervisor`]: the ladder's [`SolveOptions`].
+pub type SupervisorOptions = SolveOptions;
 
-impl SupervisorOptions {
-    /// Sets the requested tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
+fn validate(opts: &SolveOptions) -> Result<()> {
+    if !(opts.tolerance.is_finite() && opts.tolerance > 0.0) {
+        return Err(QbdError::InvalidParameter {
+            message: format!("tolerance must be positive finite, got {}", opts.tolerance),
+        });
     }
-
-    /// Sets the [`Stop`] that interrupts the solve.
-    pub fn with_stop(mut self, stop: Stop) -> Self {
-        self.stop = stop;
-        self
-    }
-
-    /// Sets the baseline hardening of the first attempt.
-    pub fn with_hardening(mut self, hardening: Hardening) -> Self {
-        self.hardening = hardening;
-        self
-    }
-
-    fn validate(&self) -> Result<()> {
-        if !(self.tolerance.is_finite() && self.tolerance > 0.0) {
-            return Err(QbdError::InvalidParameter {
-                message: format!("tolerance must be positive finite, got {}", self.tolerance),
-            });
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Why a logarithmic-reduction attempt was rejected — every cause
@@ -409,7 +358,8 @@ impl SolveReport {
     }
 }
 
-/// Supervised, fault-tolerant front end to [`Qbd::solve`].
+/// A [`Qbd`] bound to its [`SupervisorOptions`]: [`SolverSupervisor::solve`]
+/// is [`Qbd::solve_reported`].
 ///
 /// ```
 /// use performa_linalg::{Matrix, Vector};
@@ -432,10 +382,7 @@ pub struct SolverSupervisor {
 impl SolverSupervisor {
     /// Supervises `qbd` with [`SupervisorOptions::default`].
     pub fn new(qbd: Qbd) -> Self {
-        SolverSupervisor {
-            qbd,
-            options: SupervisorOptions::default(),
-        }
+        SolverSupervisor::with_options(qbd, SupervisorOptions::default())
     }
 
     /// Supervises `qbd` with explicit options.
@@ -443,7 +390,23 @@ impl SolverSupervisor {
         SolverSupervisor { qbd, options }
     }
 
-    /// Runs the `G` ladder and assembles the stationary solution.
+    /// Runs the solve ladder; see [`Qbd::solve_reported`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Qbd::solve_reported`].
+    pub fn solve(&self) -> Result<(QbdSolution, SolveReport)> {
+        self.qbd.solve_reported(&self.options)
+    }
+}
+
+impl Qbd {
+    /// The solve ladder behind every stationary solve: the drift gate,
+    /// full hardening when the drift ratio `up/down` exceeds `0.98`,
+    /// logarithmic reduction with the drift-cap, residual and (after
+    /// assembly) mean-sign checks, exactly one [`Hardening::full`]
+    /// retry after a [`QbdError::NumericalBreakdown`], then the
+    /// condition-watched `R` and boundary solves.
     ///
     /// # Errors
     ///
@@ -453,24 +416,24 @@ impl SolverSupervisor {
     ///   failure), or so was the hardened retry that follows a
     ///   breakdown.
     /// * [`QbdError::Cancelled`] / [`QbdError::DeadlineExceeded`] — the
-    ///   options' [`Stop`] fired first.
+    ///   options' stop fired first.
     /// * [`QbdError::InvalidParameter`] — malformed options.
     /// * [`QbdError::Linalg`] / [`QbdError::NumericalBreakdown`] — from
     ///   the `R` and boundary solves, including a negative or non-finite
     ///   mean queue length (`"boundary solve"`).
-    pub fn solve(&self) -> Result<(QbdSolution, SolveReport)> {
-        self.options.validate()?;
+    pub fn solve_reported(&self, opts: &SolveOptions) -> Result<(QbdSolution, SolveReport)> {
+        validate(opts)?;
         let _solve_span = performa_obs::span_with(
             "qbd.solve",
             vec![
-                ("phases", self.qbd.phase_dim().into()),
-                ("tolerance", self.options.tolerance.into()),
-                ("kernel", self.qbd.kernel_tag().into()),
+                ("phases", self.phase_dim().into()),
+                ("tolerance", opts.tolerance.into()),
+                ("kernel", self.kernel_tag().into()),
             ],
         );
         let start = Instant::now();
 
-        let (up, down) = self.qbd.drift()?;
+        let (up, down) = self.drift()?;
         if up >= down {
             return Err(QbdError::Unstable {
                 up_rate: up,
@@ -479,7 +442,7 @@ impl SolverSupervisor {
         }
         let mut warnings: Vec<SolveWarning> = Vec::new();
         let rho = up / down;
-        let mut hardening = self.options.hardening;
+        let mut hardening = opts.hardening;
         if rho > 1.0 - SATURATION_MARGIN {
             warn(&mut warnings, SolveWarning::NearSaturation { rho });
             // Near null recurrence the unshifted iteration stalls or
@@ -498,28 +461,25 @@ impl SolverSupervisor {
 
         // Residual acceptance is scaled by the block magnitudes so the
         // tolerance means the same thing regardless of rate units.
-        let scale =
-            (self.qbd.a0().norm_inf() + self.qbd.a1().norm_inf() + self.qbd.a2().norm_inf())
-                .max(1.0);
+        let scale = (self.a0().norm_inf() + self.a1().norm_inf() + self.a2().norm_inf()).max(1.0);
         let mut attempts: Vec<StageAttempt> = Vec::new();
         let (g, iterations, residual, hardening) = self.accept_g(
+            opts,
             hardening,
-            self.options.tolerance * scale,
+            opts.tolerance * scale,
             &mut attempts,
             &mut warnings,
         )?;
 
         let (mut cond_r, mut cond_b) = (0.0, 0.0);
-        let mut r = self
-            .qbd
-            .r_from_g_with_cond(&g, hardening, Some(&mut cond_r))?;
+        let mut r = self.r_from_g_with_cond(&g, hardening, Some(&mut cond_r))?;
         if !all_finite(&r) {
             return Err(QbdError::NumericalBreakdown {
                 stage: "R computation",
                 iteration: 0,
             });
         }
-        if cond_r > self.options.condition_threshold {
+        if cond_r > CONDITION_THRESHOLD {
             warn(
                 &mut warnings,
                 SolveWarning::IllConditioned {
@@ -543,16 +503,14 @@ impl SolverSupervisor {
                     refine: true,
                     ..hardening
                 };
-                let r2 = self.qbd.r_from_g_with_cond(&g, refined, None)?;
+                let r2 = self.r_from_g_with_cond(&g, refined, None)?;
                 if all_finite(&r2) {
                     r = r2;
                 }
             }
         }
-        let solution = self
-            .qbd
-            .boundary_from_r(r, hardening, Some(&mut cond_b))?;
-        if cond_b > self.options.condition_threshold {
+        let solution = self.boundary_from_r(r, hardening, Some(&mut cond_b))?;
+        if cond_b > CONDITION_THRESHOLD {
             warn(
                 &mut warnings,
                 SolveWarning::IllConditioned {
@@ -567,14 +525,14 @@ impl SolverSupervisor {
             iterations,
             total_iterations: attempts.iter().map(|a| a.iterations).sum(),
             residual,
-            tolerance_requested: self.options.tolerance,
-            tolerance_used: self.options.tolerance,
+            tolerance_requested: opts.tolerance,
+            tolerance_used: opts.tolerance,
             condition_estimate: cond_r.max(cond_b),
             degraded: attempts.iter().any(|a| a.outcome != StageOutcome::Converged),
             warnings,
             attempts,
             elapsed: start.elapsed(),
-            kernel: self.qbd.kernel_tag(),
+            kernel: self.kernel_tag(),
         };
         Ok((solution, report))
     }
@@ -592,6 +550,7 @@ impl SolverSupervisor {
     /// rescued one.
     fn accept_g(
         &self,
+        opts: &SolveOptions,
         mut hardening: Hardening,
         budget: f64,
         attempts: &mut Vec<StageAttempt>,
@@ -600,7 +559,7 @@ impl SolverSupervisor {
         let spent =
             |attempts: &[StageAttempt]| -> usize { attempts.iter().map(|a| a.iterations).sum() };
         loop {
-            if let Some(why) = self.options.stop.probe() {
+            if let Some(why) = opts.stop.probe() {
                 return Err(QbdError::interrupted(
                     why,
                     "solver supervisor",
@@ -611,7 +570,7 @@ impl SolverSupervisor {
                 "qbd.attempt",
                 vec![
                     ("strategy", "logred".into()),
-                    ("tolerance", self.options.tolerance.into()),
+                    ("tolerance", opts.tolerance.into()),
                     ("hardened", hardening.any().into()),
                 ],
             );
@@ -619,12 +578,8 @@ impl SolverSupervisor {
             // watchdog or is rejected, the last K iteration records are
             // dumped as qbd.flight events.
             performa_obs::flight::begin("logred", hardening.any());
-            let outcome = self.qbd.g_logred_counted(
-                self.options.tolerance,
-                self.options.max_iterations,
-                &self.options.stop,
-                hardening,
-            );
+            let outcome =
+                self.g_logred_counted(opts.tolerance, opts.max_iterations, &opts.stop, hardening);
             let (iterations, reason) = match outcome {
                 Ok((g, iterations)) => {
                     let drift = stochastic_drift(&g);
@@ -634,7 +589,7 @@ impl SolverSupervisor {
                             cap: DRIFT_CAP,
                         }
                     } else {
-                        let residual = self.qbd.g_residual(&g);
+                        let residual = self.g_residual(&g);
                         if residual <= budget {
                             performa_obs::event(
                                 performa_obs::TraceLevel::Info,
@@ -756,6 +711,7 @@ fn check_mean(solution: &QbdSolution) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use performa_ctrl::Stop;
     use performa_linalg::Vector;
 
     fn mm1(lambda: f64, mu: f64) -> Qbd {
@@ -868,25 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn condition_monitoring_is_plumbed_through() {
-        // With an absurdly low threshold every solve must warn — proving
-        // the estimates actually reach the report.
-        let qbd = mmpp2(1.0);
-        let options = SupervisorOptions {
-            condition_threshold: 0.5,
-            ..SupervisorOptions::default()
-        };
-        let (_, report) = SolverSupervisor::with_options(qbd, options)
-            .solve()
-            .unwrap();
-        assert!(report.condition_estimate > 0.5);
-        assert!(report
-            .warnings
-            .iter()
-            .any(|w| matches!(w, SolveWarning::IllConditioned { .. })));
-    }
-
-    #[test]
     fn stochastic_drift_measures_without_repairing() {
         let g = Matrix::from_rows(&[&[0.6, 0.5], &[-0.01, 1.0]]);
         let before: Vec<u64> = g.as_slice().iter().map(|v| v.to_bits()).collect();
@@ -966,10 +903,15 @@ mod tests {
             poison: Some(("logred", 1)),
             ..Default::default()
         });
-        let supervisor = SolverSupervisor::new(mmpp2(1.0));
         let (mut attempts, mut warnings) = (Vec::new(), Vec::new());
-        let err = supervisor
-            .accept_g(Hardening::none(), 1e-10, &mut attempts, &mut warnings)
+        let err = mmpp2(1.0)
+            .accept_g(
+                &SolveOptions::default(),
+                Hardening::none(),
+                1e-10,
+                &mut attempts,
+                &mut warnings,
+            )
             .unwrap_err();
         assert_eq!(attempts.len(), 2, "{attempts:?}");
         assert!(!attempts[0].hardened);

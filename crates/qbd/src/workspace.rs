@@ -1,7 +1,7 @@
 //! Reusable scratch arena for the QBD inner loops.
 //!
-//! Every G-matrix iteration (logarithmic reduction, Neuts substitution,
-//! functional iteration) is a handful of `m×m` GEMMs and one LU solve.
+//! Every logarithmic-reduction iteration is a handful of `m×m` GEMMs
+//! and one LU solve.
 //! Allocating those temporaries per iteration would dominate the runtime
 //! for small phase dimensions and fragment the heap for large ones, so
 //! the solvers borrow a thread-local [`Workspace`] instead: four iterate

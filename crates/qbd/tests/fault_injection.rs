@@ -109,10 +109,7 @@ fn injected_stall_exhausts_the_budget_without_a_retry() {
         stall: Some("logred"),
         ..Default::default()
     });
-    let options = SupervisorOptions {
-        max_iterations: 50,
-        ..SupervisorOptions::default()
-    };
+    let options = SupervisorOptions::default().with_max_iterations(50);
     let err = SolverSupervisor::with_options(mmpp2(1.0), options)
         .solve()
         .unwrap_err();
@@ -138,11 +135,9 @@ fn injected_stall_under_deadline_returns_typed_deadline_error() {
         stall: Some("logred"),
         ..Default::default()
     });
-    let options = SupervisorOptions {
-        max_iterations: usize::MAX,
-        stop: Stop::default().child(Duration::from_millis(50)),
-        ..SupervisorOptions::default()
-    };
+    let options = SupervisorOptions::default()
+        .with_max_iterations(usize::MAX)
+        .with_stop(Stop::default().child(Duration::from_millis(50)));
     let err = SolverSupervisor::with_options(mmpp2(1.0), options)
         .solve()
         .unwrap_err();
@@ -162,10 +157,7 @@ fn rejected_attempt_dumps_flight_recorder() {
     });
     // A short budget, so the stall ends by exhaustion before the
     // unconverging iterates overflow into a watchdog trip.
-    let options = SupervisorOptions {
-        max_iterations: 50,
-        ..SupervisorOptions::default()
-    };
+    let options = SupervisorOptions::default().with_max_iterations(50);
     let sink = std::sync::Arc::new(performa_obs::MemorySink::new());
     let id = performa_obs::add_sink(sink.clone());
     performa_obs::set_level(performa_obs::TraceLevel::Warn);
