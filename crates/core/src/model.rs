@@ -404,6 +404,7 @@ impl ClusterBuilder {
 mod tests {
     use super::*;
     use performa_dist::{Exponential, Moments, Pareto, TruncatedPowerTail};
+    use performa_qbd::Hardening;
 
     fn paper_model(rho: f64) -> ClusterModel {
         ClusterModel::builder()
@@ -579,10 +580,25 @@ mod tests {
 
     #[test]
     fn supervised_solve_matches_plain_solve() {
+        // The plain reference runs no ladder: G from logarithmic
+        // reduction, then R and the boundary, with no acceptance check.
         let m = paper_model(0.5);
-        let plain = m.solve().unwrap();
+        let qbd = m.to_qbd().unwrap();
+        let g = qbd.g_matrix(SolveOptions::default()).unwrap();
+        let plain = qbd.solve_from_g(g, Hardening::default()).unwrap();
         let (sup, report) = m.solve_supervised(SolveOptions::default()).unwrap();
-        assert!((plain.mean_queue_length() - sup.mean_queue_length()).abs() < 1e-9);
+        let solved = m.solve().unwrap();
+        for (path, mean) in [
+            ("solve_supervised", sup.mean_queue_length()),
+            ("solve", solved.mean_queue_length()),
+        ] {
+            assert_eq!(
+                mean.to_bits(),
+                plain.mean_queue_length().to_bits(),
+                "{path}: {mean} vs {}",
+                plain.mean_queue_length()
+            );
+        }
         assert!(!report.degraded);
         assert!(report.residual.is_finite() && report.residual < 1e-8);
     }

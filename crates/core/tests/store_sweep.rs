@@ -1,5 +1,6 @@
 //! Sweep ↔ durable-store integration: resume replays cached points
-//! bit-identically, stale records (old solver versions, the tag-1
+//! bit-identically, stale records (old solver versions — including the
+//! answers of builds before the one solve ladder — and the tag-1
 //! layout that stored `G`) and failures follow the documented
 //! semantics, and sharded runs merge back to the unsharded result.
 //!
@@ -17,7 +18,7 @@ use performa_core::{
 };
 use performa_dist::{Exponential, TruncatedPowerTail};
 use performa_obs as obs;
-use performa_qbd::SolveOptions;
+use performa_qbd::{Hardening, QbdSolution, SolveOptions};
 use performa_store::frame::{encode_frame, MAGIC};
 use performa_store::{merge, verify, Store};
 
@@ -363,6 +364,84 @@ fn stale_failure_semantics_version_bump_and_retry_failed() {
     assert!(replayed.points().iter().all(|p| p.outcome.is_ok()));
     assert_eq!(replayed.stats().store_hits, 2);
     assert_eq!(replayed.stats().store_appends, 0);
+}
+
+/// `sol`'s stored parts, as the sweep persists a solved point.
+fn solved_record(sol: &QbdSolution) -> PointRecord {
+    let [s1, s2, s3] = sol
+        .geometric_sums()
+        .each_ref()
+        .map(|s| s.as_slice().to_vec());
+    PointRecord::Solved {
+        m: sol.phase_dim() as u32,
+        pi0: sol.pi0().as_slice().to_vec(),
+        pi1: sol.pi1().as_slice().to_vec(),
+        r: sol.r_matrix().as_slice().to_vec(),
+        s1,
+        s2,
+        s3,
+    }
+}
+
+#[test]
+fn records_from_before_the_one_ladder_re_solve_through_it() {
+    let _guard = obs::test_lock();
+    let scratch = Scratch::new("ladder");
+    // N = 2, T = 5, ρ = 0.99 lies in the near-null-recurrent band
+    // (drift ratio above 0.98). Solver version 1 swept it unhardened;
+    // the one ladder hardens it on every path, to different bits.
+    let rho = 0.99;
+    let model = tpt_template(2, 5).with_utilization(rho).unwrap();
+    let qbd = model.to_qbd().unwrap();
+    let g = qbd.g_matrix(SolveOptions::default()).unwrap();
+    let unhardened = qbd.solve_from_g(g, Hardening::default()).unwrap();
+    let ladder = model.solve().unwrap().mean_queue_length();
+    assert_ne!(
+        unhardened.mean_queue_length().to_bits(),
+        ladder.to_bits(),
+        "the band's unhardened and hardened solves should differ"
+    );
+
+    // The version-1 record holds the unhardened answer.
+    let key = store_key(&model, rho);
+    assert!(key.solver_version > 1, "{key:?}");
+    let old = PointKey {
+        solver_version: 1,
+        ..key.clone()
+    };
+    {
+        let (mut store, _) = Store::open(&scratch.0).unwrap();
+        store.append(&old, &solved_record(&unhardened)).unwrap();
+        store.flush().unwrap();
+    }
+
+    // The sweep misses on it, solves the point through the ladder and
+    // persists the ladder's answer under the current version.
+    let plan = || Scenario::new(tpt_template(2, 5), Axis::Rho(vec![rho])).compile();
+    let (opts, handle) = opts_with_store(&scratch.0);
+    let resolved = plan().with_options(opts).run_map(|s| s.mean_queue_length());
+    assert_eq!(
+        resolved.stats().store_hits,
+        0,
+        "a version-1 record replayed"
+    );
+    assert_eq!(resolved.stats().store_appends, 1);
+    assert_eq!(
+        resolved.expect_values("re-solve")[0].to_bits(),
+        ladder.to_bits()
+    );
+    drop(handle);
+
+    // From then on the current-version record replays the ladder's
+    // bits, and the version-1 record stays shadowed.
+    let (opts, _handle) = opts_with_store(&scratch.0);
+    let replayed = plan().with_options(opts).run_map(|s| s.mean_queue_length());
+    assert_eq!(replayed.stats().store_hits, 1);
+    assert_eq!(replayed.stats().store_appends, 0);
+    assert_eq!(
+        replayed.expect_values("replay")[0].to_bits(),
+        ladder.to_bits()
+    );
 }
 
 #[test]

@@ -89,4 +89,9 @@ pub type Result<T> = std::result::Result<T, QbdError>;
 /// order. Stale store records (successes and failures alike) then miss
 /// on lookup and are transparently re-solved, so a resumed sweep can
 /// never mix outputs from two different numerical regimes.
-pub const SOLVER_VERSION: u32 = 1;
+///
+/// Version 2: every solve runs the one ladder of
+/// [`Qbd::solve_reported`], so sweep points in the near-null-recurrent
+/// band are solved hardened and a `G` that drifts more than `1e-2` off
+/// the stochastic set is a typed failure instead of a number.
+pub const SOLVER_VERSION: u32 = 2;

@@ -821,16 +821,7 @@ impl Qbd {
     ///
     /// See [`Qbd::solve_reported`].
     pub fn solve(&self) -> Result<QbdSolution> {
-        self.solve_with(SolveOptions::default())
-    }
-
-    /// [`Qbd::solve_reported`] without its report.
-    ///
-    /// # Errors
-    ///
-    /// See [`Qbd::solve_reported`].
-    pub fn solve_with(&self, opts: SolveOptions) -> Result<QbdSolution> {
-        Ok(self.solve_reported(&opts)?.0)
+        Ok(self.solve_reported(&SolveOptions::default())?.0)
     }
 
     /// [`Qbd::solve_reported`] returning the accepted attempt's `G`
@@ -1195,7 +1186,7 @@ mod tests {
         token.cancel();
         let opts = SolveOptions::default().with_stop(token.child(std::time::Duration::ZERO));
         assert!(matches!(
-            qbd.solve_with(opts),
+            qbd.solve_reported(&opts),
             Err(QbdError::Cancelled { .. })
         ));
     }
@@ -1260,7 +1251,9 @@ mod tests {
         // Full pipeline with hardening on: the M/M/1 closed form must
         // survive the shift → R → boundary chain.
         let rho: f64 = 0.9;
-        let sol = mm1(rho, 1.0).solve_with(SolveOptions::hardened()).unwrap();
+        let (sol, _) = mm1(rho, 1.0)
+            .solve_reported(&SolveOptions::hardened())
+            .unwrap();
         let expect = rho / (1.0 - rho);
         assert!((sol.mean_queue_length() - expect).abs() < 1e-8 * expect);
     }

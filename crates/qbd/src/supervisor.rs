@@ -23,7 +23,7 @@
 //!   estimator in `performa-linalg`),
 //! * a sign check on the mean queue length of the assembled solution.
 //!
-//! [`Qbd::solve`], [`Qbd::solve_with`], [`Qbd::solve_with_count`] and
+//! [`Qbd::solve`], [`Qbd::solve_with_count`] and
 //! [`SolverSupervisor::solve`] are one-line calls of it, so a model
 //! gets the same answer, or the same typed failure, on every path.
 //!

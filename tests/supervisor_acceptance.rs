@@ -7,7 +7,8 @@
 //! rescaled copy ran Neuts and functional iteration to their budgets,
 //! relaxed the tolerance and returned a degraded, less accurate answer.
 //! At N = 2, T = 10, ρ = 0.97 that took seconds and gave E[Q] =
-//! 6018.716; the plain solve gives 6017.9254158096 in milliseconds.
+//! 6018.716; logarithmic reduction's G, taken as computed, gives
+//! 6017.9254158096 in milliseconds.
 //!
 //! A G that misses its budget is not rescued either: the supervisor
 //! neither relaxes the tolerance nor runs a linear iteration after
@@ -15,13 +16,26 @@
 //! failure.
 
 use performa::core::CoreError;
-use performa::qbd::{QbdError, SolveWarning, StageOutcome, SupervisorOptions};
+use performa::qbd::{
+    Hardening, QbdError, SolveOptions, SolveWarning, StageOutcome, SupervisorOptions,
+};
 use performa_experiments::{params, tpt_cluster_with};
+
+/// E[Q] at N = 2, T = 10, ρ = 0.97 from logarithmic reduction's G as
+/// computed, to 14 significant digits.
+const MEAN_T10_RHO097: f64 = 6017.9254158096;
 
 #[test]
 fn converged_logred_g_is_accepted_as_computed() {
     let m = tpt_cluster_with(2, params::DELTA, 10, 0.97);
-    let plain = m.solve().expect("plain solve").mean_queue_length();
+    // The reference skips the ladder: G straight from logarithmic
+    // reduction, then R and the boundary, with no acceptance check.
+    let qbd = m.to_qbd().expect("QBD");
+    let g = qbd.g_matrix(SolveOptions::default()).expect("logred G");
+    let split = qbd
+        .solve_from_g(g, Hardening::default())
+        .expect("split solve")
+        .mean_queue_length();
     let (sol, report) = m
         .solve_supervised(SupervisorOptions::default())
         .expect("supervised solve");
@@ -39,9 +53,14 @@ fn converged_logred_g_is_accepted_as_computed() {
     );
 
     let eq = sol.mean_queue_length();
+    assert_eq!(
+        eq.to_bits(),
+        split.to_bits(),
+        "supervised E[Q] {eq} vs G as computed {split}"
+    );
     assert!(
-        ((eq - plain) / plain).abs() <= 1e-9,
-        "supervised E[Q] {eq} vs plain {plain}"
+        ((eq - MEAN_T10_RHO097) / MEAN_T10_RHO097).abs() <= 1e-12,
+        "supervised E[Q] {eq} vs {MEAN_T10_RHO097}"
     );
 }
 
